@@ -21,17 +21,51 @@
 use crate::explorer::Explorer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use wodex_obs::Counter;
 use wodex_store::cache::{CacheStats, LruCache};
 use wodex_viz::ldvm::View;
 use wodex_viz::recommend::VisKind;
 
 type Key = (String, Option<VisKind>);
 
+/// Global registry series for every view cache of the process. Each
+/// [`ViewCache::lookup`] resolves to exactly one hit or miss, so
+/// `hits + misses == lookups`; a miss leads to at most one render, so
+/// `renders <= misses`.
+struct CacheMetrics {
+    lookups: Arc<Counter>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    renders: Arc<Counter>,
+}
+
+fn cache_metrics() -> &'static CacheMetrics {
+    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = wodex_obs::global();
+        CacheMetrics {
+            lookups: r.counter("wodex_viewcache_lookups_total", "View cache lookups"),
+            hits: r.counter(
+                "wodex_viewcache_hits_total",
+                "View cache lookups served a rendered view",
+            ),
+            misses: r.counter(
+                "wodex_viewcache_misses_total",
+                "View cache lookups that found no rendered view",
+            ),
+            renders: r.counter(
+                "wodex_viewcache_renders_total",
+                "LDVM pipeline runs on behalf of the view cache",
+            ),
+        }
+    })
+}
+
 /// The shared state of one in-progress render.
 enum FlightResult {
     Pending,
-    Ready(View),
+    Ready(Arc<View>),
     /// The renderer panicked; waiters retry (and may render themselves).
     Aborted,
 }
@@ -71,8 +105,9 @@ impl Drop for FlightGuard<'_> {
 }
 
 /// An LRU cache of rendered views keyed by `(predicate, chart kind)`.
+/// Views are handed out behind [`Arc`]s: a hit copies no scene or SVG.
 pub struct ViewCache {
-    cache: Mutex<LruCache<Key, View>>,
+    cache: Mutex<LruCache<Key, Arc<View>>>,
     flights: Mutex<HashMap<Key, Arc<Flight>>>,
     renders: AtomicU64,
 }
@@ -80,6 +115,9 @@ pub struct ViewCache {
 impl ViewCache {
     /// Creates a cache holding at most `capacity` views.
     pub fn new(capacity: usize) -> ViewCache {
+        // Touch the series so a scrape shows them at zero before the
+        // first lookup.
+        let _ = cache_metrics();
         ViewCache {
             cache: Mutex::new(LruCache::new(capacity)),
             flights: Mutex::new(HashMap::new()),
@@ -87,19 +125,37 @@ impl ViewCache {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, LruCache<Key, View>> {
+    fn lock(&self) -> MutexGuard<'_, LruCache<Key, Arc<View>>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cached view, if there is one. Counts as one lookup and one
+    /// hit or miss; never renders.
+    pub fn lookup(&self, predicate: &str, kind: Option<VisKind>) -> Option<Arc<View>> {
+        let m = cache_metrics();
+        m.lookups.inc();
+        let found = self.lock().get(&(predicate.to_string(), kind)).cloned();
+        match found {
+            Some(_) => m.hits.inc(),
+            None => m.misses.inc(),
+        }
+        found
     }
 
     /// Returns the cached view or runs the pipeline and caches the result.
     ///
     /// Concurrent callers missing on the same key share one pipeline run.
-    pub fn view(&self, ex: &Explorer, predicate: &str, kind: Option<VisKind>) -> View {
+    pub fn view(&self, ex: &Explorer, predicate: &str, kind: Option<VisKind>) -> Arc<View> {
+        self.lookup(predicate, kind)
+            .unwrap_or_else(|| self.render(ex, predicate, kind))
+    }
+
+    /// The miss path of [`ViewCache::view`], for callers that did their
+    /// own [`ViewCache::lookup`]: renders the view — or waits for the
+    /// render of the same key already in flight — and caches it.
+    pub fn render(&self, ex: &Explorer, predicate: &str, kind: Option<VisKind>) -> Arc<View> {
         let key = (predicate.to_string(), kind);
         loop {
-            if let Some(v) = self.lock().get(&key) {
-                return v.clone();
-            }
             // Claim the key's flight or join the one in progress.
             let (flight, renderer) = {
                 let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
@@ -125,7 +181,7 @@ impl ViewCache {
                     FlightResult::Pending => {
                         r = flight.cv.wait(r).unwrap_or_else(PoisonError::into_inner);
                     }
-                    FlightResult::Ready(v) => return v.clone(),
+                    FlightResult::Ready(v) => return Arc::clone(v),
                     FlightResult::Aborted => break, // Renderer panicked: retry.
                 }
             }
@@ -142,7 +198,7 @@ impl ViewCache {
         kind: Option<VisKind>,
         key: &Key,
         flight: &Arc<Flight>,
-    ) -> View {
+    ) -> Arc<View> {
         let mut guard = FlightGuard {
             cache: self,
             key,
@@ -156,18 +212,19 @@ impl ViewCache {
         let v = match cached {
             Some(v) => v,
             None => {
-                let v = match kind {
+                let v = Arc::new(match kind {
                     Some(k) => ex.visualize_as(predicate, k),
                     None => ex.visualize(predicate),
-                };
+                });
                 self.renders.fetch_add(1, Ordering::Relaxed);
-                self.lock().put(key.clone(), v.clone());
+                cache_metrics().renders.inc();
+                self.lock().put(key.clone(), Arc::clone(&v));
                 v
             }
         };
         {
             let mut r = flight.result.lock().unwrap_or_else(PoisonError::into_inner);
-            *r = FlightResult::Ready(v.clone());
+            *r = FlightResult::Ready(Arc::clone(&v));
             flight.cv.notify_all();
         }
         guard.published = true;

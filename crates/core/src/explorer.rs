@@ -1,9 +1,10 @@
 //! The [`Explorer`] façade.
 
+use crate::cache::ViewCache;
 use crate::WodexError;
-use wodex_approx::sampling::Reservoir;
+use std::sync::Arc;
 use wodex_explore::session::ExplorationSession;
-use wodex_explore::ResourceView;
+use wodex_explore::{ExploreIndex, ResourceView};
 use wodex_graph::adjacency::Adjacency;
 use wodex_graph::hierarchy::{AbstractionHierarchy, HierarchyView};
 use wodex_graph::layout::{self, FrParams};
@@ -14,14 +15,17 @@ use wodex_sparql::{Budget, BudgetedResult, Degraded, QueryError, QueryResult};
 use wodex_store::{
     BufferPool, EncodedTriple, MemBackend, PagedTripleStore, Pattern, PoolStats, TripleStore,
 };
-use wodex_synth::rng::{SeedableRng, StdRng};
 use wodex_viz::ldvm::{LdvmPipeline, View};
 use wodex_viz::profile::FieldProfile;
 use wodex_viz::recommend::{Recommendation, VisKind};
 use wodex_viz::UserPreferences;
 
-/// Rows kept by the reservoir when a budgeted visualization degrades.
+/// Most values a degraded visualization samples from the property's
+/// numeric column.
 const DEGRADED_VIEW_SAMPLE: usize = 512;
+
+/// Rendered views the explorer keeps (LRU beyond this).
+const VIEW_CACHE_CAPACITY: usize = 64;
 
 /// Buffer-pool capacity (pages) backing [`Explorer::disk_view`].
 const DISK_VIEW_POOL_PAGES: usize = 64;
@@ -128,10 +132,17 @@ impl GraphView {
 
 /// The unified framework: one value that loads a dataset and exposes
 /// every capability of the workspace.
+///
+/// The dataset is held once in each form and shared from there: the
+/// term-level [`Graph`] (with the LDVM pipeline), the encoded
+/// [`TripleStore`] (with the exploration index), and the
+/// [`ExploreIndex`] (held by the explorer's own session, shared with
+/// every other).
 pub struct Explorer {
-    graph: std::sync::Arc<Graph>,
-    store: TripleStore,
+    graph: Arc<Graph>,
+    store: Arc<TripleStore>,
     pipeline: LdvmPipeline,
+    views: ViewCache,
     session: ExplorationSession,
     prefs: UserPreferences,
 }
@@ -139,43 +150,38 @@ pub struct Explorer {
 impl Explorer {
     /// Loads from an in-memory [`Graph`].
     pub fn from_graph(graph: Graph) -> Explorer {
-        let graph = std::sync::Arc::new(graph);
         let store = TripleStore::from_graph(&graph);
-        let prefs = UserPreferences::default();
-        let pipeline = LdvmPipeline::new((*graph).clone()).with_prefs(prefs.clone());
-        let session = ExplorationSession::shared(std::sync::Arc::clone(&graph));
-        Explorer {
-            graph,
-            store,
-            pipeline,
-            session,
-            prefs,
-        }
+        Explorer::assemble(graph, store)
     }
 
     /// Builds an explorer over an existing store — the entry point for
     /// disk-backed datasets (`wodex serve --store seg:<dir>`).
     ///
-    /// The SPARQL path queries `store` directly, so a segment-backed
-    /// store ([`TripleStore::with_base`]) keeps its triple data on disk
-    /// and block-pages it per scan. The graph-shaped exploration
-    /// facilities (facets, viz, path finding) work on a decoded
-    /// presentation copy, built once here.
+    /// The SPARQL path and the exploration index query `store` directly,
+    /// so a segment-backed store ([`TripleStore::with_base`]) keeps its
+    /// triple data on disk and block-pages it per scan. The graph-shaped
+    /// facilities (viz, path finding) work on a decoded presentation
+    /// copy, built once here.
     pub fn from_store(store: TripleStore) -> Explorer {
         let graph: Graph = store
             .match_pattern(Pattern::any())
             .into_iter()
             .map(|t| store.decode(t))
             .collect();
-        let graph = std::sync::Arc::new(graph);
+        Explorer::assemble(graph, store)
+    }
+
+    fn assemble(graph: Graph, store: TripleStore) -> Explorer {
+        let graph = Arc::new(graph);
+        let store = Arc::new(store);
+        let index = Arc::new(ExploreIndex::build(Arc::clone(&store)));
         let prefs = UserPreferences::default();
-        let pipeline = LdvmPipeline::new((*graph).clone()).with_prefs(prefs.clone());
-        let session = ExplorationSession::shared(std::sync::Arc::clone(&graph));
         Explorer {
+            pipeline: LdvmPipeline::new(Arc::clone(&graph)).with_prefs(prefs.clone()),
+            views: ViewCache::new(VIEW_CACHE_CAPACITY),
+            session: ExplorationSession::over(index),
             graph,
             store,
-            pipeline,
-            session,
             prefs,
         }
     }
@@ -190,10 +196,12 @@ impl Explorer {
         Ok(Explorer::from_graph(wodex_rdf::ntriples::parse(nt)?))
     }
 
-    /// Replaces the preferences (re-wires the LDVM pipeline).
+    /// Replaces the preferences (re-wires the LDVM pipeline and drops
+    /// the views rendered under the old ones).
     pub fn with_prefs(mut self, prefs: UserPreferences) -> Explorer {
         self.prefs = prefs.clone();
-        self.pipeline = LdvmPipeline::new((*self.graph).clone()).with_prefs(prefs);
+        self.pipeline = LdvmPipeline::new(Arc::clone(&self.graph)).with_prefs(prefs);
+        self.views.invalidate();
         self
     }
 
@@ -202,10 +210,22 @@ impl Explorer {
         &self.graph
     }
 
-    /// The shared graph handle. Servers open further
-    /// [`ExplorationSession`]s from this without copying the dataset.
-    pub fn shared_graph(&self) -> std::sync::Arc<Graph> {
-        std::sync::Arc::clone(&self.graph)
+    /// The shared graph handle.
+    pub fn shared_graph(&self) -> Arc<Graph> {
+        Arc::clone(&self.graph)
+    }
+
+    /// The shared exploration index. Servers open further
+    /// [`ExplorationSession`]s over this ([`ExplorationSession::over`])
+    /// without copying or re-indexing the dataset.
+    pub fn explore_index(&self) -> &Arc<ExploreIndex> {
+        self.session.index()
+    }
+
+    /// The cache of rendered views behind [`Explorer::cached_view`] and
+    /// [`Explorer::visualize_budgeted`].
+    pub fn view_cache(&self) -> &ViewCache {
+        &self.views
     }
 
     /// The dictionary-encoded store.
@@ -235,9 +255,18 @@ impl Explorer {
     }
 
     /// Runs the full LDVM pipeline for a property with the top-ranked
-    /// chart type.
+    /// chart type. Always renders; [`Explorer::cached_view`] is the
+    /// memoized form.
     pub fn visualize(&self, predicate: &str) -> View {
         self.pipeline.run(predicate)
+    }
+
+    /// [`Explorer::visualize`] through the explorer's single-flight view
+    /// cache: the first caller per property renders, concurrent first
+    /// callers wait for that render, later callers share the result. The
+    /// dataset behind an explorer never changes, so nothing invalidates.
+    pub fn cached_view(&self, predicate: &str) -> Arc<View> {
+        self.views.view(self, predicate, None)
     }
 
     /// Like [`Explorer::visualize`] with an explicit chart type.
@@ -490,46 +519,40 @@ impl Explorer {
         )?)
     }
 
-    /// Like [`Explorer::visualize`] under a [`Budget`].
-    ///
-    /// Within budget this is exactly `visualize`. When the budget trips
-    /// while the property's values are being gathered, the pipeline is
-    /// skipped and a histogram is rendered from a uniform reservoir
-    /// sample of the rows inspected so far — the §4 approximation-first
-    /// fallback — with the [`Degraded`] flag carrying
-    /// `coverage = sample / total`.
-    pub fn visualize_budgeted(&self, predicate: &str, budget: &Budget) -> (View, Option<Degraded>) {
-        if budget.is_unlimited() {
-            return (self.visualize(predicate), None);
-        }
-        let total = self
-            .store
+    /// Number of triples with the given predicate, read off the store's
+    /// index (nothing is walked).
+    pub fn property_triples(&self, predicate: &str) -> usize {
+        self.store
             .id_of(&Term::iri(predicate))
-            .map(|p| self.store.count_pattern(Pattern::any().with_p(p)))
-            .unwrap_or(0);
-        let mut rng = StdRng::seed_from_u64(0x5eed_0b5e_55ed_u64);
-        let mut reservoir: Reservoir<f64> = Reservoir::new(DEGRADED_VIEW_SAMPLE);
-        let mut tripped = None;
-        for t in self.graph.triples_for_predicate(predicate) {
-            if let Some(reason) = budget.exceeded() {
-                tripped = Some(reason);
-                break;
-            }
-            budget.charge_rows(1);
-            let Some(v) = t.object.as_literal().map(Value::from_literal) else {
-                continue;
-            };
-            if let Some(x) = v
-                .as_f64()
-                .or_else(|| v.as_epoch_seconds().map(|s| s as f64))
-            {
-                reservoir.offer(x, &mut rng);
-            }
+            .map_or(0, |p| self.store.count_pattern(Pattern::any().with_p(p)))
+    }
+
+    /// Like [`Explorer::cached_view`] under a [`Budget`].
+    ///
+    /// A cached view is returned as is, before anything is charged. A
+    /// render is charged one row per triple of the property (counted on
+    /// the store's index, not walked). When the budget cannot afford
+    /// that, the pipeline is skipped and a histogram is rendered from an
+    /// evenly spaced sample of the property's numeric column, as large as
+    /// the budget still allows — the §4 approximation-first fallback —
+    /// with the [`Degraded`] flag carrying `coverage = sample / total`.
+    pub fn visualize_budgeted(
+        &self,
+        predicate: &str,
+        budget: &Budget,
+    ) -> (Arc<View>, Option<Degraded>) {
+        if let Some(view) = self.views.lookup(predicate, None) {
+            return (view, None);
         }
+        let total = self.property_triples(predicate);
+        let (granted, tripped) = budget.charge_rows_up_to(total as u64);
         let Some(reason) = tripped else {
-            return (self.visualize(predicate), None);
+            return (self.views.render(self, predicate, None), None);
         };
-        let sample = reservoir.into_sample();
+        let sample = self
+            .explore_index()
+            .numeric_column(predicate)
+            .sample(DEGRADED_VIEW_SAMPLE.min(granted as usize));
         let coverage = if total == 0 {
             0.0
         } else {
@@ -555,7 +578,7 @@ impl Explorer {
             svg,
             recommendations: Vec::new(),
         };
-        (view, Some(Degraded { reason, coverage }))
+        (Arc::new(view), Some(Degraded { reason, coverage }))
     }
 
     /// Materializes the dataset onto the fault-tolerant paged storage
@@ -812,6 +835,34 @@ mod tests {
         assert_eq!(v.kind, VisKind::HistogramChart);
         assert!(v.svg.contains("<svg"));
         assert!(v.scene.in_bounds(1.0));
+    }
+
+    #[test]
+    fn visualize_budgeted_serves_cached_views_without_charging() {
+        let ex = explorer();
+        let pop = "http://dbp.example.org/ontology/population";
+        let first = wodex_sparql::Budget::unlimited().with_row_cap(1_000);
+        let (cold, degraded) = ex.visualize_budgeted(pop, &first);
+        assert!(degraded.is_none());
+        assert_eq!(first.rows_charged(), 300, "one row per triple, counted");
+        // The lookup precedes the budget: a cached view is whole and free
+        // even for a budget that affords nothing.
+        let broke = wodex_sparql::Budget::unlimited()
+            .with_row_cap(1)
+            .with_expired_deadline();
+        let (warm, degraded) = ex.visualize_budgeted(pop, &broke);
+        assert!(degraded.is_none());
+        assert_eq!(broke.rows_charged(), 0);
+        assert!(Arc::ptr_eq(&cold, &warm));
+        // A degraded answer is never cached: the next affordable request
+        // renders the real view.
+        let area = "http://dbp.example.org/ontology/area";
+        let tight = wodex_sparql::Budget::unlimited().with_row_cap(50);
+        assert!(ex.visualize_budgeted(area, &tight).1.is_some());
+        let (full, degraded) = ex.visualize_budgeted(area, &first);
+        assert!(degraded.is_none());
+        assert_eq!(full.svg, ex.visualize(area).svg);
+        assert_eq!(ex.view_cache().renders(), 2);
     }
 
     #[test]

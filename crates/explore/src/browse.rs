@@ -33,34 +33,37 @@ pub struct ResourceView {
 }
 
 impl ResourceView {
-    /// Builds the view of `resource` (the Disco/Tabulator table).
+    /// Builds the view of `resource` (the Disco/Tabulator table): its own
+    /// triples as forward rows in `(predicate, value)` order, then the
+    /// triples of other subjects pointing at it as backward rows in
+    /// `(subject, predicate)` order.
+    ///
+    /// Forward rows are a range read; a [`Graph`] has no object index, so
+    /// backward rows cost a scan — [`crate::ExploreIndex::details`] is
+    /// the O(degree) form of the same view.
     pub fn of(graph: &Graph, resource: &Term) -> ResourceView {
-        let mut rows = Vec::new();
-        let mut label = None;
-        for t in graph.iter() {
-            if &t.subject == resource {
-                if let Some(p) = t.predicate.as_iri() {
-                    if p.as_str() == rdfs::LABEL {
-                        if let Some(l) = t.object.as_literal() {
-                            label.get_or_insert_with(|| l.lexical().to_string());
-                        }
-                    }
-                    rows.push(PropertyRow {
-                        predicate: p.as_str().to_string(),
-                        value: t.object.clone(),
-                        forward: true,
-                    });
-                }
-            } else if &t.object == resource {
-                if let Some(p) = t.predicate.as_iri() {
-                    rows.push(PropertyRow {
-                        predicate: p.as_str().to_string(),
-                        value: t.subject.clone(),
-                        forward: false,
-                    });
-                }
-            }
-        }
+        let row = |predicate: &Term, value: &Term, forward: bool| {
+            Some(PropertyRow {
+                predicate: predicate.as_iri()?.as_str().to_string(),
+                value: value.clone(),
+                forward,
+            })
+        };
+        let mut rows: Vec<PropertyRow> = graph
+            .triples_for_subject(resource)
+            .filter_map(|t| row(&t.predicate, &t.object, true))
+            .collect();
+        let label = rows
+            .iter()
+            .filter(|r| r.predicate == rdfs::LABEL)
+            .find_map(|r| r.value.as_literal())
+            .map(|l| l.lexical().to_string());
+        rows.extend(
+            graph
+                .iter()
+                .filter(|t| &t.object == resource && &t.subject != resource)
+                .filter_map(|t| row(&t.predicate, &t.subject, false)),
+        );
         ResourceView {
             resource: resource.clone(),
             label,

@@ -7,9 +7,17 @@
 //! are always computed against the *current* selection, which is the part
 //! naive implementations get wrong and the part users rely on ("zero-hit
 //! avoidance").
+//!
+//! The postings behind the counts ([`FacetPostings`]) are part of the
+//! shared [`ExploreIndex`] and hold subject rows, not strings; a
+//! [`FacetEngine`] is one user's *selection* over them, so any number of
+//! engines cost a few map entries each.
 
+use crate::index::{ExploreIndex, RowSet};
 use std::collections::{BTreeMap, BTreeSet};
-use wodex_rdf::{Graph, Term};
+use std::sync::Arc;
+use wodex_rdf::{Graph, Term, TermId};
+use wodex_store::{Pattern, TripleStore};
 
 /// A facet: a property whose values partition the resources.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,60 +28,150 @@ pub struct Facet {
     pub cardinality: usize,
 }
 
-/// The faceted-browsing engine over one graph.
-pub struct FacetEngine {
-    /// (subject, predicate-iri, value-key) triples for facet candidates.
-    rows: Vec<(Term, String, String)>,
+/// Maximum distinct values for a property to qualify as a facet.
+const MAX_FACET_CARDINALITY: usize = 50;
+
+/// One facet value: its display key and the sorted, distinct rows of the
+/// subjects carrying it.
+type ValuePosting = (String, Vec<u32>);
+
+/// Every facet of a dataset with its value postings — the shared,
+/// immutable half of faceted browsing.
+pub(crate) struct FacetPostings {
+    /// Ascending by predicate IRI.
     facets: Vec<Facet>,
-    subjects: BTreeSet<Term>,
+    /// Parallel to `facets`: that facet's values, ascending by key.
+    values: Vec<Vec<ValuePosting>>,
+}
+
+impl FacetPostings {
+    /// Reads each predicate's POS range: a predicate is a facet when its
+    /// objects have between 2 and [`MAX_FACET_CARDINALITY`] distinct
+    /// value keys. `row_of` maps a subject's term id to its row.
+    pub(crate) fn build(
+        store: &TripleStore,
+        predicates: &BTreeSet<u32>,
+        row_of: &[u32],
+    ) -> FacetPostings {
+        let mut found: Vec<(Facet, Vec<ValuePosting>)> = Vec::new();
+        for &p in predicates {
+            let Some(iri) = store.term(TermId(p)).as_iri() else {
+                continue;
+            };
+            // Distinct objects can share a key (`"1"` and `"1"^^xsd:int`),
+            // so values are grouped by key, not by object id. POS order
+            // delivers each object's triples as one run, so the key is
+            // looked up once per run, not per triple.
+            let mut slot_of: BTreeMap<String, usize> = BTreeMap::new();
+            let mut postings: Vec<Vec<u32>> = Vec::new();
+            let mut run: Option<(u32, usize)> = None;
+            let within_cap =
+                store.match_pattern_chunks(Pattern::any().with_p(TermId(p)), &mut |chunk| {
+                    for &[s, _, o] in chunk {
+                        let slot = match run {
+                            Some((object, slot)) if object == o => slot,
+                            _ => {
+                                let key = value_key(store.term(TermId(o)));
+                                let slot = *slot_of.entry(key).or_insert(postings.len());
+                                if slot == MAX_FACET_CARDINALITY {
+                                    return false;
+                                }
+                                if slot == postings.len() {
+                                    postings.push(Vec::new());
+                                }
+                                run = Some((o, slot));
+                                slot
+                            }
+                        };
+                        postings[slot].push(row_of[s as usize]);
+                    }
+                    true
+                });
+            if !within_cap || postings.len() < 2 {
+                continue;
+            }
+            let values: Vec<ValuePosting> = slot_of
+                .into_iter()
+                .map(|(key, slot)| {
+                    let mut rows = std::mem::take(&mut postings[slot]);
+                    rows.sort_unstable();
+                    rows.dedup();
+                    rows.shrink_to_fit();
+                    (key, rows)
+                })
+                .collect();
+            let facet = Facet {
+                predicate: iri.as_str().to_string(),
+                cardinality: values.len(),
+            };
+            found.push((facet, values));
+        }
+        found.sort_by(|a, b| a.0.predicate.cmp(&b.0.predicate));
+        let (facets, values) = found.into_iter().unzip();
+        FacetPostings { facets, values }
+    }
+
+    /// The values of `predicate`, ascending by key; empty when it is not
+    /// a facet.
+    fn values(&self, predicate: &str) -> &[ValuePosting] {
+        self.facets
+            .binary_search_by(|f| f.predicate.as_str().cmp(predicate))
+            .map_or(&[], |i| &self.values[i])
+    }
+
+    /// The rows carrying `key` under `predicate`; empty when there are
+    /// none.
+    pub(crate) fn rows(&self, predicate: &str, key: &str) -> &[u32] {
+        let values = self.values(predicate);
+        values
+            .binary_search_by(|v| v.0.as_str().cmp(key))
+            .map_or(&[], |i| &values[i].1)
+    }
+
+    pub(crate) fn bytes(&self) -> usize {
+        let keys_and_rows = |v: &ValuePosting| v.0.len() + v.1.len() * 4;
+        self.facets.iter().map(|f| f.predicate.len()).sum::<usize>()
+            + self
+                .values
+                .iter()
+                .flatten()
+                .map(keys_and_rows)
+                .sum::<usize>()
+    }
+}
+
+/// The faceted-browsing engine: one selection over the shared postings.
+pub struct FacetEngine {
+    index: Arc<ExploreIndex>,
     /// Active selections: predicate → chosen value keys.
     selection: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Maximum distinct values for a property to qualify as a facet.
-const MAX_FACET_CARDINALITY: usize = 50;
-
 impl FacetEngine {
-    /// Builds the engine: facet candidates are properties whose objects
-    /// are IRIs or literals with at most [`MAX_FACET_CARDINALITY`]
-    /// distinct values.
+    /// Indexes `graph` and starts with nothing selected: facet candidates
+    /// are properties whose objects have between 2 and
+    /// [`MAX_FACET_CARDINALITY`] distinct values. To put many engines on
+    /// one dataset, build the index once and use [`FacetEngine::over`].
     pub fn new(graph: &Graph) -> FacetEngine {
-        let mut by_pred: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut rows = Vec::new();
-        let mut subjects = BTreeSet::new();
-        for t in graph.iter() {
-            subjects.insert(t.subject.clone());
-            let Some(p) = t.predicate.as_iri() else {
-                continue;
-            };
-            let key = value_key(&t.object);
-            by_pred
-                .entry(p.as_str().to_string())
-                .or_default()
-                .insert(key.clone());
-            rows.push((t.subject.clone(), p.as_str().to_string(), key));
-        }
-        let facets: Vec<Facet> = by_pred
-            .iter()
-            .filter(|(_, vals)| vals.len() <= MAX_FACET_CARDINALITY && vals.len() >= 2)
-            .map(|(p, vals)| Facet {
-                predicate: p.clone(),
-                cardinality: vals.len(),
-            })
-            .collect();
-        let facet_set: BTreeSet<&String> = facets.iter().map(|f| &f.predicate).collect();
-        rows.retain(|(_, p, _)| facet_set.contains(p));
+        FacetEngine::over(Arc::new(ExploreIndex::from_graph(graph)))
+    }
+
+    /// An engine with nothing selected over a shared index.
+    pub fn over(index: Arc<ExploreIndex>) -> FacetEngine {
         FacetEngine {
-            rows,
-            facets,
-            subjects,
+            index,
             selection: BTreeMap::new(),
         }
     }
 
+    /// The index this engine reads.
+    pub fn index(&self) -> &Arc<ExploreIndex> {
+        &self.index
+    }
+
     /// The available facets.
     pub fn facets(&self) -> &[Facet] {
-        &self.facets
+        &self.index.facets().facets
     }
 
     /// Selects a value of a facet (adds to the disjunction within that
@@ -106,48 +204,55 @@ impl FacetEngine {
         &self.selection
     }
 
-    /// The resources matching the current selection (all resources when
-    /// nothing is selected).
-    pub fn matching(&self) -> BTreeSet<Term> {
-        let mut result: BTreeSet<Term> = self.subjects.clone();
-        for (pred, wanted) in &self.selection {
-            let has: BTreeSet<Term> = self
-                .rows
+    /// The rows matching the selection with the facet `except` left out:
+    /// the intersection, over the selected facets, of the union of their
+    /// chosen values' postings.
+    pub(crate) fn matching_rows(&self, except: Option<&str>) -> RowSet {
+        let rows = self.index.subject_count();
+        let mut result = RowSet::full(rows);
+        for (predicate, wanted) in &self.selection {
+            if Some(predicate.as_str()) == except {
+                continue;
+            }
+            let postings = wanted
                 .iter()
-                .filter(|(_, p, v)| p == pred && wanted.contains(v))
-                .map(|(s, _, _)| s.clone())
-                .collect();
-            result = result.intersection(&has).cloned().collect();
+                .flat_map(|key| self.index.facets().rows(predicate, key));
+            result.and_assign(&RowSet::of(rows, postings.copied()));
         }
         result
     }
 
+    /// The resources matching the current selection (all resources when
+    /// nothing is selected).
+    pub fn matching(&self) -> BTreeSet<Term> {
+        self.index.terms(&self.matching_rows(None))
+    }
+
+    /// `matching().len()` without decoding a term.
+    pub fn matching_count(&self) -> usize {
+        self.matching_rows(None).count()
+    }
+
     /// Value counts for one facet **under the current selection of the
     /// other facets** (the standard facet-count semantics: a facet does
-    /// not filter itself).
+    /// not filter itself), largest first; values no matching resource
+    /// carries are left out.
     pub fn counts(&self, predicate: &str) -> Vec<(String, usize)> {
-        // Selection excluding this facet.
-        let mut others = self.selection.clone();
-        others.remove(predicate);
-        let mut base: BTreeSet<&Term> = self.subjects.iter().collect();
-        for (pred, wanted) in &others {
-            let has: BTreeSet<&Term> = self
-                .rows
-                .iter()
-                .filter(|(_, p, v)| p == pred && wanted.contains(v))
-                .map(|(s, _, _)| s)
-                .collect();
-            base = base.intersection(&has).copied().collect();
-        }
-        let mut counts: BTreeMap<String, BTreeSet<&Term>> = BTreeMap::new();
-        for (s, p, v) in &self.rows {
-            if p == predicate && base.contains(s) {
-                counts.entry(v.clone()).or_default().insert(s);
-            }
-        }
-        let mut out: Vec<(String, usize)> =
-            counts.into_iter().map(|(v, ss)| (v, ss.len())).collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let values = self.index.facets().values(predicate);
+        let filtered_by_others = self.selection.keys().any(|p| p != predicate);
+        let base = filtered_by_others.then(|| self.matching_rows(Some(predicate)));
+        let mut out: Vec<(String, usize)> = values
+            .iter()
+            .map(|(key, rows)| {
+                let n = match &base {
+                    Some(base) => rows.iter().filter(|&&row| base.contains(row)).count(),
+                    None => rows.len(),
+                };
+                (key.clone(), n)
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 }

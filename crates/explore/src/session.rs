@@ -5,28 +5,57 @@
 //! formulation of the next operation*". [`ExplorationSession`] is that
 //! sequence as a first-class value — an operation log over the visual
 //! information-seeking mantra ("overview first, zoom and filter, then
-//! details-on-demand" \[118\]) with undo by replay, combining the facet
-//! engine, the keyword index, numeric range filters and the resource
-//! browser.
+//! details-on-demand" \[118\]) with undo, combining the facet engine,
+//! the keyword index, numeric range filters and the resource browser.
+//!
+//! All of those read one shared [`ExploreIndex`]; what a session owns is
+//! its log, its facet selection and one row bitset per logged step, so
+//! opening a session is O(1), undo is a pop and the size of the result
+//! is a popcount.
 
 use crate::browse::ResourceView;
 use crate::facets::FacetEngine;
-use crate::search::{Hit, SearchIndex};
+use crate::index::{ExploreIndex, RowSet};
+use crate::search::Hit;
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use wodex_rdf::{Graph, Term, Value};
+use std::sync::{Arc, OnceLock};
+use wodex_obs::Counter;
+use wodex_rdf::{Graph, Term};
 
-/// Counts one session operation in the global registry (series
-/// `wodex_explore_ops_total{op=...}`). Handles are interned by the
-/// registry, so the per-call cost after the first is one map probe under
-/// a short lock — session ops are user-interaction-rate, not hot-path.
-fn count_op(op: &'static str) {
-    wodex_obs::global()
-        .counter_with(
-            "wodex_explore_ops_total",
-            "Exploration session operations by kind",
-            &[("op", op)],
-        )
+/// The session operations counted in `wodex_explore_ops_total{op=...}`.
+#[derive(Clone, Copy)]
+enum Counted {
+    Overview,
+    Filter,
+    Zoom,
+    Search,
+    SearchPreview,
+    Details,
+    Undo,
+}
+
+/// Counts one session operation in the global registry. The handles are
+/// interned once per process, so a count is one relaxed add.
+fn count_op(op: Counted) {
+    const NAMES: [&str; 7] = [
+        "overview",
+        "filter",
+        "zoom",
+        "search",
+        "search_preview",
+        "details",
+        "undo",
+    ];
+    static HANDLES: OnceLock<[Arc<Counter>; 7]> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        NAMES.map(|op| {
+            wodex_obs::global().counter_with(
+                "wodex_explore_ops_total",
+                "Exploration session operations by kind",
+                &[("op", op)],
+            )
+        })
+    })[op as usize]
         .inc();
 }
 
@@ -79,47 +108,46 @@ impl std::fmt::Display for Operation {
     }
 }
 
-/// A live exploration session over one graph.
+/// A live exploration session over one dataset.
 ///
-/// The graph is held behind an [`Arc`], so a server hosting thousands of
-/// concurrent sessions over the same loaded dataset pays for the facet
-/// engine and search index per session, never for another copy of the
-/// triples.
+/// The dataset's [`ExploreIndex`] is held behind an [`Arc`] and never
+/// copied: a server hosting thousands of concurrent sessions pays for
+/// one index, plus per session the operation log and one bitset (a bit
+/// per subject) per logged step.
 pub struct ExplorationSession {
-    graph: Arc<Graph>,
+    /// The shared index and this session's facet selection.
     facets: FacetEngine,
-    search: SearchIndex,
     log: Vec<Operation>,
+    /// `steps[i]` holds the rows satisfying `log[..=i]`.
+    steps: Vec<RowSet>,
 }
 
 impl ExplorationSession {
-    /// Opens a session over an owned graph (wraps it in an [`Arc`]).
+    /// Indexes an owned graph and opens a session over it.
     pub fn new(graph: Graph) -> ExplorationSession {
         ExplorationSession::shared(Arc::new(graph))
     }
 
-    /// Opens a session over a shared graph handle — the multi-session
-    /// form: every session built from the same `Arc` reads the same
-    /// triples without cloning them.
+    /// Indexes a graph and opens a session over it. The index is built
+    /// here, once per call — to open many sessions over one dataset,
+    /// build (or borrow) the index once and use
+    /// [`ExplorationSession::over`].
     pub fn shared(graph: Arc<Graph>) -> ExplorationSession {
-        let facets = FacetEngine::new(&graph);
-        let search = SearchIndex::build(&graph);
+        ExplorationSession::over(Arc::new(ExploreIndex::from_graph(&graph)))
+    }
+
+    /// Opens a session over a shared index: O(1), nothing is copied.
+    pub fn over(index: Arc<ExploreIndex>) -> ExplorationSession {
         ExplorationSession {
-            graph,
-            facets,
-            search,
+            facets: FacetEngine::over(index),
             log: Vec::new(),
+            steps: Vec::new(),
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The shared graph handle (cheap to clone into further sessions).
-    pub fn shared_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.graph)
+    /// The shared index (cheap to clone into further sessions).
+    pub fn index(&self) -> &Arc<ExploreIndex> {
+        self.facets.index()
     }
 
     /// The facet engine (counts reflect the session's filters).
@@ -135,26 +163,60 @@ impl ExplorationSession {
     /// **Overview**: class → instance counts, largest first (the entry
     /// point of the mantra).
     pub fn overview(&self) -> Vec<(String, usize)> {
-        count_op("overview");
-        let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-        for t in self
-            .graph
-            .triples_for_predicate(wodex_rdf::vocab::rdf::TYPE)
-        {
-            if let Some(c) = t.object.as_iri() {
-                *counts.entry(c.as_str().to_string()).or_insert(0) += 1;
+        count_op(Counted::Overview);
+        self.index().overview()
+    }
+
+    /// The rows one operation admits on its own (for a filter, the
+    /// carriers of its one value).
+    fn rows_of(&self, op: &Operation) -> RowSet {
+        let index = self.index();
+        let rows = index.subject_count();
+        match op {
+            Operation::Filter { predicate, value } => {
+                RowSet::of(rows, index.facets().rows(predicate, value).iter().copied())
+            }
+            Operation::Zoom { predicate, lo, hi } => index.zoom_rows(predicate, *lo, *hi),
+            Operation::Search { query } => {
+                let hits = index.tokens().score(query, rows);
+                RowSet::of(rows, hits.into_iter().map(|s| s.row))
             }
         }
-        let mut out: Vec<(String, usize)> = counts.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+    }
+
+    /// Logs `op` and the rows matching the log with it.
+    fn push(&mut self, op: Operation) {
+        let mut widens = false;
+        if let Operation::Filter { predicate, value } = &op {
+            widens = self.facets.selection().contains_key(predicate);
+            self.facets.select(predicate, value);
+        }
+        let rows = if widens {
+            // A second value in an already selected facet widens that
+            // facet's disjunction, so this step is not a narrowing of the
+            // previous one: recompute it from the selection and the log.
+            let mut rows = self.facets.matching_rows(None);
+            for earlier in &self.log {
+                if !matches!(earlier, Operation::Filter { .. }) {
+                    rows.and_assign(&self.rows_of(earlier));
+                }
+            }
+            rows
+        } else {
+            let mut rows = self.rows_of(&op);
+            if let Some(current) = self.steps.last() {
+                rows.and_assign(current);
+            }
+            rows
+        };
+        self.log.push(op);
+        self.steps.push(rows);
     }
 
     /// **Filter**: select a facet value.
     pub fn filter(&mut self, predicate: &str, value: &str) {
-        count_op("filter");
-        self.facets.select(predicate, value);
-        self.log.push(Operation::Filter {
+        count_op(Counted::Filter);
+        self.push(Operation::Filter {
             predicate: predicate.to_string(),
             value: value.to_string(),
         });
@@ -162,8 +224,8 @@ impl ExplorationSession {
 
     /// **Zoom**: restrict a numeric property to a range.
     pub fn zoom(&mut self, predicate: &str, lo: f64, hi: f64) {
-        count_op("zoom");
-        self.log.push(Operation::Zoom {
+        count_op(Counted::Zoom);
+        self.push(Operation::Zoom {
             predicate: predicate.to_string(),
             lo,
             hi,
@@ -172,34 +234,36 @@ impl ExplorationSession {
 
     /// **Search**: add a keyword restriction.
     pub fn search(&mut self, query: &str) {
-        count_op("search");
-        self.log.push(Operation::Search {
+        count_op(Counted::Search);
+        self.push(Operation::Search {
             query: query.to_string(),
         });
     }
 
     /// Raw keyword lookup without changing session state.
     pub fn search_preview(&self, query: &str, limit: usize) -> Vec<Hit> {
-        count_op("search_preview");
-        self.search.search(query, limit)
+        count_op(Counted::SearchPreview);
+        self.index().search(query, limit)
     }
 
     /// **Details-on-demand**: the resource view (stateless).
     pub fn details(&self, resource: &Term) -> ResourceView {
-        count_op("details");
-        ResourceView::of(&self.graph, resource)
+        count_op(Counted::Details);
+        self.index().details(resource)
     }
 
-    /// Undoes the last operation (replays the log).
+    /// Undoes the last operation: its step is dropped and the facet
+    /// selection re-read from the remaining log.
     pub fn undo(&mut self) -> Option<Operation> {
-        count_op("undo");
+        count_op(Counted::Undo);
         let undone = self.log.pop()?;
-        // Rebuild facet selections from the remaining log.
-        self.facets.clear();
-        let log = self.log.clone();
-        for op in &log {
-            if let Operation::Filter { predicate, value } = op {
-                self.facets.select(predicate, value);
+        self.steps.pop();
+        if matches!(undone, Operation::Filter { .. }) {
+            self.facets.clear();
+            for op in &self.log {
+                if let Operation::Filter { predicate, value } = op {
+                    self.facets.select(predicate, value);
+                }
             }
         }
         Some(undone)
@@ -207,37 +271,18 @@ impl ExplorationSession {
 
     /// The resources satisfying *all* logged operations.
     pub fn matching(&self) -> BTreeSet<Term> {
-        let mut result = self.facets.matching();
-        for op in &self.log {
-            match op {
-                Operation::Filter { .. } => {} // handled by the engine
-                Operation::Zoom { predicate, lo, hi } => {
-                    let in_range: BTreeSet<Term> = self
-                        .graph
-                        .triples_for_predicate(predicate)
-                        .filter(|t| {
-                            t.object
-                                .as_literal()
-                                .map(Value::from_literal)
-                                .and_then(|v| v.as_f64())
-                                .is_some_and(|v| v >= *lo && v < *hi)
-                        })
-                        .map(|t| t.subject.clone())
-                        .collect();
-                    result = result.intersection(&in_range).cloned().collect();
-                }
-                Operation::Search { query } => {
-                    let hits: BTreeSet<Term> = self
-                        .search
-                        .search(query, usize::MAX)
-                        .into_iter()
-                        .map(|h| h.subject)
-                        .collect();
-                    result = result.intersection(&hits).cloned().collect();
-                }
-            }
+        match self.steps.last() {
+            Some(rows) => self.index().terms(rows),
+            None => self.index().all_terms(),
         }
-        result
+    }
+
+    /// `matching().len()` without decoding a term: a popcount.
+    pub fn matching_count(&self) -> usize {
+        match self.steps.last() {
+            Some(rows) => rows.count(),
+            None => self.index().subject_count(),
+        }
     }
 
     /// A one-line summary per step plus the running result size — the
@@ -245,18 +290,11 @@ impl ExplorationSession {
     pub fn trace(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "0. start: {} resources",
-            self.facets
-                .matching()
-                .len()
-                .max(self.graph.subjects().len())
-        );
+        let _ = writeln!(out, "0. start: {} resources", self.index().subject_count());
         for (i, op) in self.log.iter().enumerate() {
             let _ = writeln!(out, "{}. {op}", i + 1);
         }
-        let _ = writeln!(out, "=> {} resources match", self.matching().len());
+        let _ = writeln!(out, "=> {} resources match", self.matching_count());
         out
     }
 }
@@ -357,13 +395,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_sessions_reuse_one_graph() {
-        let g = Arc::new(graph());
-        let a = ExplorationSession::shared(Arc::clone(&g));
-        let b = ExplorationSession::shared(a.shared_graph());
-        // Three handles (local + two sessions), one graph.
-        assert_eq!(Arc::strong_count(&g), 3);
+    fn sessions_share_one_index() {
+        let index = Arc::new(ExploreIndex::from_graph(&graph()));
+        let a = ExplorationSession::over(Arc::clone(&index));
+        let b = ExplorationSession::over(Arc::clone(a.index()));
+        // Three handles (local + two sessions), one index.
+        assert_eq!(Arc::strong_count(&index), 3);
         assert_eq!(a.overview(), b.overview());
+    }
+
+    #[test]
+    fn a_second_value_in_one_facet_widens_and_undo_narrows_again() {
+        let mut s = ExplorationSession::new(graph());
+        s.zoom("http://e.org/pop", 0.0, 1000.0);
+        s.filter(rdf::TYPE, "http://e.org/City");
+        assert_eq!(s.matching_count(), 5);
+        s.filter(rdf::TYPE, "http://e.org/Town");
+        assert_eq!(s.matching_count(), 10, "City or Town, still zoomed");
+        assert_eq!(s.matching().len(), 10);
+        s.undo().unwrap();
+        assert_eq!(s.matching_count(), 5);
+        assert_eq!(s.facets().selection()[rdf::TYPE].len(), 1);
+        s.filter(rdf::TYPE, "http://e.org/Nothing");
+        assert_eq!(s.matching_count(), 5, "an unknown value adds nothing");
+        s.filter("http://e.org/unknown", "x");
+        assert_eq!(s.matching_count(), 0, "an unknown facet matches nothing");
     }
 
     #[test]

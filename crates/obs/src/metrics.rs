@@ -49,12 +49,31 @@ impl Counter {
 }
 
 /// A gauge: a value that can go up and down (set at sample time).
-#[derive(Debug, Default)]
+///
+/// The value is an integer in the gauge's raw unit; like a
+/// [`Histogram`], a gauge registered with a `unit_scale` is exposed as
+/// `raw × unit_scale` (microseconds set, seconds scraped).
+#[derive(Debug)]
 pub struct Gauge {
     v: AtomicI64,
+    unit_scale: f64,
+}
+
+impl Default for Gauge {
+    fn default() -> Gauge {
+        Gauge {
+            v: AtomicI64::new(0),
+            unit_scale: 1.0,
+        }
+    }
 }
 
 impl Gauge {
+    /// Multiplier from raw units to exposition units.
+    pub fn unit_scale(&self) -> f64 {
+        self.unit_scale
+    }
+
     /// Sets the value. Unlike counter increments this is not gated on
     /// [`crate::enabled`] — gauges are set at scrape time, not on hot
     /// paths.
@@ -329,6 +348,26 @@ impl MetricsRegistry {
         self.gauge_with(name, help, &[])
     }
 
+    /// Registers (or returns the existing) gauge series whose raw value
+    /// is exposed multiplied by `unit_scale`.
+    pub fn gauge_scaled(&self, name: &str, help: &'static str, unit_scale: f64) -> Arc<Gauge> {
+        self.intern(
+            name,
+            help,
+            &[],
+            || {
+                Metric::Gauge(Arc::new(Gauge {
+                    unit_scale,
+                    ..Gauge::default()
+                }))
+            },
+            |m| match m {
+                Metric::Gauge(g) => Some(Arc::clone(g)),
+                _ => None,
+            },
+        )
+    }
+
     /// Registers (or returns the existing) labeled gauge series.
     pub fn gauge_with(
         &self,
@@ -393,9 +432,10 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Every gauge value keyed by `name{label="v",…}` — the same
-    /// readout as [`MetricsRegistry::counter_values`], for gauges
-    /// (`/stats` fragments read resident-bytes style series this way).
+    /// Every gauge value (in raw units) keyed by `name{label="v",…}` —
+    /// the same readout as [`MetricsRegistry::counter_values`], for
+    /// gauges (`/stats` fragments read resident-bytes style series this
+    /// way).
     pub fn gauge_values(&self) -> HashMap<String, i64> {
         self.lock()
             .iter()

@@ -149,7 +149,12 @@ pub fn render_prometheus(registry: &MetricsRegistry) -> String {
                 "gauge",
                 vec![(
                     series_key(&s.name, &s.labels),
-                    format!("{}{} {}\n", s.name, label_block(&s.labels), g.get()),
+                    format!(
+                        "{}{} {}\n",
+                        s.name,
+                        label_block(&s.labels),
+                        fmt_value(g.get() as f64 * g.unit_scale())
+                    ),
                 )],
             ),
             Metric::Histogram(h) => {
@@ -247,6 +252,14 @@ mod tests {
         assert!(text.contains("# HELP aa_total first\n"));
         assert!(text.contains("# TYPE aa_total counter\n"));
         assert!(text.contains("mm_gauge -4\n"));
+    }
+
+    #[test]
+    fn scaled_gauges_render_in_exposition_units() {
+        let r = MetricsRegistry::new();
+        r.gauge_scaled("build_seconds", "h", 1e-6).set(1_250_000);
+        assert!(render_prometheus(&r).contains("build_seconds 1.25\n"));
+        assert_eq!(r.gauge_values()["build_seconds"], 1_250_000, "raw units");
     }
 
     #[test]

@@ -52,12 +52,20 @@ impl Graph {
         self.triples.iter()
     }
 
-    /// All triples with the given subject.
-    pub fn triples_for_subject<'a>(
-        &'a self,
-        subject: &'a Term,
-    ) -> impl Iterator<Item = &'a Triple> {
-        self.iter().filter(move |t| &t.subject == subject)
+    /// All triples with the given subject, in `(predicate, object)`
+    /// order.
+    ///
+    /// The set is ordered subject-first, so this is a range read from the
+    /// subject's smallest possible triple up to the first other subject:
+    /// O(log n + k), not a scan.
+    pub fn triples_for_subject<'a>(&'a self, subject: &Term) -> impl Iterator<Item = &'a Triple> {
+        // `Term::iri("")` is the minimum of `Term`'s derived order (first
+        // variant, empty string), so this bound sorts at or before every
+        // triple of `subject`.
+        let first = Triple::new(subject.clone(), Term::iri(""), Term::iri(""));
+        self.triples
+            .range::<Triple, _>(&first..)
+            .take_while(move |t| t.subject == first.subject)
     }
 
     /// All triples with the given predicate IRI.
@@ -90,24 +98,22 @@ impl Graph {
     /// Looks up the first object for `(subject, predicate)` — the common
     /// "get property value" operation of WoD browsers (§3.1).
     pub fn object_for(&self, subject: &Term, predicate: &str) -> Option<&Term> {
-        self.iter()
+        self.triples_for_subject(subject)
             .find(|t| {
-                &t.subject == subject
-                    && t.predicate
-                        .as_iri()
-                        .is_some_and(|p| p.as_str() == predicate)
+                t.predicate
+                    .as_iri()
+                    .is_some_and(|p| p.as_str() == predicate)
             })
             .map(|t| &t.object)
     }
 
     /// All `rdf:type` class IRIs of a subject.
     pub fn types_of(&self, subject: &Term) -> Vec<&Iri> {
-        self.iter()
+        self.triples_for_subject(subject)
             .filter(|t| {
-                &t.subject == subject
-                    && t.predicate
-                        .as_iri()
-                        .is_some_and(|p| p.as_str() == crate::vocab::rdf::TYPE)
+                t.predicate
+                    .as_iri()
+                    .is_some_and(|p| p.as_str() == crate::vocab::rdf::TYPE)
             })
             .filter_map(|t| t.object.as_iri())
             .collect()
@@ -220,6 +226,44 @@ mod tests {
         let types = g.types_of(&s);
         assert_eq!(types.len(), 1);
         assert_eq!(types[0].as_str(), "http://e.org/City");
+    }
+
+    #[test]
+    fn subject_lookups_read_only_the_subjects_range() {
+        let mut g = sample();
+        // Neighbours on both sides of athens in term order, one of them a
+        // string prefix of it, plus a blank-node subject (sorts after
+        // every IRI).
+        for s in [
+            "http://e.org/athen",
+            "http://e.org/athens2",
+            "http://e.org/a",
+        ] {
+            g.insert(Triple::iri(s, rdfs::LABEL, Term::literal(s)));
+        }
+        g.insert(Triple::new(
+            Term::blank("b"),
+            Term::iri(rdfs::LABEL),
+            Term::literal("blank"),
+        ));
+        let athens = Term::iri("http://e.org/athens");
+        let mine: Vec<&Triple> = g.triples_for_subject(&athens).collect();
+        assert_eq!(mine.len(), 3);
+        assert!(mine.iter().all(|t| t.subject == athens));
+        assert!(mine.windows(2).all(|w| w[0] < w[1]), "in (p, o) order");
+        assert_eq!(g.triples_for_subject(&Term::blank("b")).count(), 1);
+        assert_eq!(
+            g.triples_for_subject(&Term::iri("http://e.org/athe"))
+                .count(),
+            0
+        );
+        assert_eq!(
+            g.triples_for_subject(&Term::iri("http://z.org/last"))
+                .count(),
+            0
+        );
+        assert_eq!(g.types_of(&athens).len(), 1);
+        assert_eq!(g.types_of(&Term::iri("http://e.org/athen")).len(), 0);
     }
 
     #[test]

@@ -148,6 +148,29 @@ impl Budget {
         self.row_cap
     }
 
+    /// Charges as many of `wanted` rows as the budget still allows and
+    /// returns how many that was; fewer than `wanted` comes with the
+    /// dimension that ran out. Lets a stage that knows its row count up
+    /// front decide between the full answer and a sample before it reads
+    /// anything.
+    pub fn charge_rows_up_to(&self, wanted: u64) -> (u64, Option<DegradeReason>) {
+        let (granted, tripped) = match self.exceeded() {
+            Some(reason) => (0, Some(reason)),
+            None => {
+                let left = self
+                    .row_cap
+                    .map_or(u64::MAX, |cap| cap.saturating_sub(self.rows_charged()));
+                if wanted <= left {
+                    (wanted, None)
+                } else {
+                    (left, Some(DegradeReason::RowCapExceeded))
+                }
+            }
+        };
+        self.charge_rows(granted);
+        (granted, tripped)
+    }
+
     /// Remaining wall-clock time, if a deadline is set.
     pub fn remaining_time(&self) -> Option<Duration> {
         self.deadline
@@ -192,6 +215,27 @@ impl Budget {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn charge_rows_up_to_grants_what_the_budget_allows() {
+        assert_eq!(Budget::unlimited().charge_rows_up_to(7), (7, None));
+        let b = Budget::unlimited().with_row_cap(10);
+        assert_eq!(b.charge_rows_up_to(4), (4, None));
+        assert_eq!(
+            b.charge_rows_up_to(9),
+            (6, Some(DegradeReason::RowCapExceeded))
+        );
+        assert_eq!(b.rows_charged(), 10);
+        assert_eq!(
+            b.charge_rows_up_to(1),
+            (0, Some(DegradeReason::RowCapExceeded))
+        );
+        let expired = Budget::unlimited().with_row_cap(10).with_expired_deadline();
+        assert_eq!(
+            expired.charge_rows_up_to(1),
+            (0, Some(DegradeReason::DeadlineExceeded))
+        );
+    }
 
     #[test]
     fn unlimited_never_degrades() {

@@ -33,13 +33,14 @@
 //! coordinator mode), and `GET /explore/subscribe` run on the MVCC
 //! [`LiveStore`](wodex_store::LiveStore) and see every commit. The
 //! exploration sessions (`/explore/open` through `/explore/trace`) and
-//! the viz endpoints serve the **bind-time** explorer graph — faceting
-//! indexes, search indexes, and session state are precomputed over it
-//! and are *not* re-derived per commit, so a write is visible to
-//! `/sparql` and the subscribe feed immediately but not to an open
-//! exploration session. `/healthz` reports both stores' triple counts
-//! distinctly. Folding live snapshots into the exploration engines is
-//! the open item tracked in ROADMAP.md.
+//! the viz endpoints serve the **bind-time** explorer dataset — one
+//! shared exploration index (facet and token postings, numeric columns)
+//! and the view cache are built over it and are *not* re-derived per
+//! commit, so a write is visible to `/sparql` and the subscribe feed
+//! immediately but not to an open exploration session (and nothing ever
+//! invalidates a cached chart). `/healthz` reports both stores' triple
+//! counts distinctly. Folding live snapshots into the exploration
+//! engines is the open item tracked in ROADMAP.md.
 
 use crate::http::{read_request, write_response, ChunkedWriter, ParseError, Request};
 use crate::server::{wake, AppState};
@@ -47,7 +48,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use wodex_rdf::{Term, Value};
+use wodex_rdf::Term;
 use wodex_sparql::results::json_string as js;
 use wodex_sparql::{Budget, Degraded, EvalOptions, QueryResult, QueryTrace, Stage};
 
@@ -242,12 +243,14 @@ fn stats(state: &AppState, out: &mut TcpStream) {
     let s = state.sessions.stats();
     let x = wodex_exec::stats();
     let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-    // Decoded-block cache series, read through the registry so the
-    // serving layer needs no dependency on the segment crate. Zero when
-    // the store is not seg-backed (the series never registers).
+    // Decoded-block cache, exploration index and view cache series, read
+    // through the registry so the serving layer needs no dependency on
+    // the crates that own them. The segcache ones are zero when the
+    // store is not seg-backed (the series never registers).
     let cv = wodex_obs::global().counter_values();
     let gv = wodex_obs::global().gauge_values();
-    let segcache = |name: &str| cv.get(name).copied().unwrap_or(0);
+    let counter = |name: &str| cv.get(name).copied().unwrap_or(0);
+    let gauge = |name: &str| gv.get(name).copied().unwrap_or(0);
     let body = format!(
         concat!(
             "{{\"requests\":{{\"accepted\":{},\"admitted\":{},\"completed\":{},",
@@ -258,6 +261,8 @@ fn stats(state: &AppState, out: &mut TcpStream) {
             "\"exec\":{{\"map_calls\":{},\"map_items\":{},\"fold_calls\":{}}},",
             "\"segcache\":{{\"lookups\":{},\"hits\":{},\"misses\":{},",
             "\"evictions\":{},\"bytes\":{}}},",
+            "\"explore_index\":{{\"bytes\":{},\"build_seconds\":{}}},",
+            "\"viewcache\":{{\"lookups\":{},\"hits\":{},\"misses\":{},\"renders\":{}}},",
             "\"config\":{{\"workers\":{},\"queue_depth\":{},\"deadline_ms\":{},\"row_cap\":{}}},",
             "{}\"uptime_ms\":{}}}"
         ),
@@ -280,11 +285,18 @@ fn stats(state: &AppState, out: &mut TcpStream) {
         x.map.calls,
         x.map.items,
         x.fold.calls,
-        segcache("wodex_segcache_lookups_total"),
-        segcache("wodex_segcache_hits_total"),
-        segcache("wodex_segcache_misses_total"),
-        segcache("wodex_segcache_evictions_total"),
-        gv.get("wodex_segcache_bytes").copied().unwrap_or(0),
+        counter("wodex_segcache_lookups_total"),
+        counter("wodex_segcache_hits_total"),
+        counter("wodex_segcache_misses_total"),
+        counter("wodex_segcache_evictions_total"),
+        gauge("wodex_segcache_bytes"),
+        gauge("wodex_explore_index_bytes"),
+        // The gauge's raw unit is microseconds.
+        json_f64(gauge("wodex_explore_index_build_seconds") as f64 / 1e6),
+        counter("wodex_viewcache_lookups_total"),
+        counter("wodex_viewcache_hits_total"),
+        counter("wodex_viewcache_misses_total"),
+        counter("wodex_viewcache_renders_total"),
         state.cfg.effective_workers(),
         state.cfg.queue_depth,
         state.cfg.deadline.as_millis(),
@@ -673,7 +685,7 @@ fn explore_facets(state: &AppState, req: &Request, out: &mut TcpStream) {
 fn session_summary(s: &mut wodex_explore::ExplorationSession) -> String {
     format!(
         "{{\"matching\":{},\"operations\":{}}}",
-        s.matching().len(),
+        s.matching_count(),
         s.log().len()
     )
 }
@@ -789,7 +801,7 @@ fn explore_undo(state: &AppState, req: &Request, out: &mut TcpStream) {
         format!(
             "{{\"undone\":{},\"matching\":{}}}",
             undone.as_deref().map_or("null".to_string(), js),
-            s.matching().len()
+            s.matching_count()
         )
     }) else {
         return;
@@ -809,8 +821,11 @@ fn viz_recommend(state: &AppState, req: &Request, out: &mut TcpStream) {
         bad_request(state, out, "need a predicate parameter");
         return;
     };
+    // The ranking is part of the cached view, so after the first request
+    // per property this analyzes nothing.
+    let view = state.explorer.cached_view(predicate);
     let mut parts = Vec::new();
-    for r in state.explorer.recommend(predicate) {
+    for r in &view.recommendations {
         parts.push(format!(
             "{{\"kind\":{},\"score\":{},\"reason\":{}}}",
             js(r.kind.name()),
@@ -822,9 +837,10 @@ fn viz_recommend(state: &AppState, req: &Request, out: &mut TcpStream) {
     let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
 }
 
-/// `GET /viz/chart` — the LDVM pipeline under the request budget; the
-/// degradation verdict rides a response header (it is known before the
-/// SVG is written).
+/// `GET /viz/chart` — the LDVM pipeline under the request budget,
+/// behind the explorer's single-flight view cache (a cached chart costs
+/// no budget); the degradation verdict rides a response header (it is
+/// known before the SVG is written).
 fn viz_chart(state: &AppState, req: &Request, out: &mut TcpStream) {
     let Some(predicate) = req.param("predicate") else {
         bad_request(state, out, "need a predicate parameter");
@@ -849,9 +865,12 @@ fn viz_chart(state: &AppState, req: &Request, out: &mut TcpStream) {
     );
 }
 
-/// `GET /viz/hist` — histogram bins, streamed as they are serialized;
-/// under budget pressure the histogram covers the scanned prefix and the
-/// trailer reports the coverage.
+/// `GET /viz/hist` — histogram bins, streamed as they are serialized.
+/// The values come from the property's shared numeric column and the
+/// row count from the store's index, so nothing is walked per request;
+/// when the budget cannot afford every row the histogram is built from an
+/// evenly spaced sample of the column and the trailer reports the
+/// coverage.
 fn viz_hist(state: &AppState, req: &Request, out: &mut TcpStream) {
     let Some(predicate) = req.param("predicate") else {
         bad_request(state, out, "need a predicate parameter");
@@ -863,44 +882,18 @@ fn viz_hist(state: &AppState, req: &Request, out: &mut TcpStream) {
         .unwrap_or(16)
         .clamp(1, 256);
     let budget = request_budget(state, req);
-    let mut values = Vec::new();
-    let mut scanned = 0usize;
-    let mut tripped = None;
-    for t in state.explorer.graph().triples_for_predicate(predicate) {
-        if let Some(reason) = budget.exceeded() {
-            tripped = Some(reason);
-            break;
-        }
-        scanned += 1;
-        budget.charge_rows(1);
-        if let Some(x) = t
-            .object
-            .as_literal()
-            .map(Value::from_literal)
-            .and_then(|v| {
-                v.as_f64()
-                    .or_else(|| v.as_epoch_seconds().map(|s| s as f64))
-            })
-        {
-            values.push(x);
-        }
-    }
-    let total = state
-        .explorer
-        .graph()
-        .triples_for_predicate(predicate)
-        .count();
+    let total = state.explorer.property_triples(predicate) as u64;
+    let (scanned, tripped) = budget.charge_rows_up_to(total);
     let degraded = tripped.map(|reason| Degraded {
         reason,
-        coverage: if total == 0 {
-            1.0
-        } else {
-            scanned as f64 / total as f64
-        },
+        coverage: scanned as f64 / total as f64,
     });
     if degraded.is_some() {
         state.counters.inc_degraded();
     }
+    let column = state.explorer.explore_index().numeric_column(predicate);
+    // The scanned share of the column; all of it when nothing tripped.
+    let values = column.sample((column.len() as u64 * scanned / total.max(1)) as usize);
     let hist = wodex_approx::binning::Histogram::build(
         &values,
         bins,

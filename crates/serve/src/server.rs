@@ -339,7 +339,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let sessions = SessionManager::new(
-            explorer.shared_graph(),
+            Arc::clone(explorer.explore_index()),
             cfg.session_capacity,
             cfg.session_ttl,
         );

@@ -3,18 +3,19 @@
 //! §2 defines exploration as a *sequence* of operations whose state lives
 //! across requests; a web-facing explorer (SynopsViz, eLinda) therefore
 //! needs server-side sessions. The [`SessionManager`] keys live
-//! [`ExplorationSession`]s by token over **one shared graph handle** —
-//! thanks to `ExplorationSession::shared`, a thousand sessions cost a
-//! thousand facet engines and search indexes, never a second copy of the
-//! triples. Capacity is bounded: least-recently-used sessions are evicted
-//! once the cap is hit, and idle sessions past the TTL expire lazily.
+//! [`ExplorationSession`]s by token over **one shared exploration
+//! index** — facet postings, token postings and numeric columns are
+//! built once per server, and `ExplorationSession::over` adds per session
+//! only an operation log and one bitset (a bit per subject) per logged
+//! step: a thousand sessions cost kilobytes each, not a thousand indexes.
+//! Capacity is bounded: least-recently-used sessions are evicted once the
+//! cap is hit, and idle sessions past the TTL expire lazily.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use wodex_explore::ExplorationSession;
-use wodex_rdf::Graph;
+use wodex_explore::{ExplorationSession, ExploreIndex};
 
 /// One live session plus its bookkeeping.
 struct Entry {
@@ -37,7 +38,7 @@ pub struct SessionStats {
 
 /// Token-keyed session store with LRU eviction and TTL expiry.
 pub struct SessionManager {
-    graph: Arc<Graph>,
+    index: Arc<ExploreIndex>,
     capacity: usize,
     ttl: Duration,
     inner: Mutex<HashMap<String, Entry>>,
@@ -48,11 +49,11 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// A manager over one shared graph, holding at most `capacity` live
+    /// A manager over one shared index, holding at most `capacity` live
     /// sessions, each expiring after `ttl` of inactivity.
-    pub fn new(graph: Arc<Graph>, capacity: usize, ttl: Duration) -> SessionManager {
+    pub fn new(index: Arc<ExploreIndex>, capacity: usize, ttl: Duration) -> SessionManager {
         SessionManager {
-            graph,
+            index,
             capacity: capacity.max(1),
             ttl,
             inner: Mutex::new(HashMap::new()),
@@ -63,13 +64,11 @@ impl SessionManager {
         }
     }
 
-    /// Opens a new session and returns its token.
-    ///
-    /// Builds the session's indexes *outside* the map lock, so opening a
-    /// session never stalls requests on other sessions. If the store is
-    /// full, the least-recently-used session is evicted.
+    /// Opens a new session and returns its token: O(1) — a handle on the
+    /// shared index and an empty log. If the store is full, the
+    /// least-recently-used session is evicted.
     pub fn open(&self) -> String {
-        let session = ExplorationSession::shared(Arc::clone(&self.graph));
+        let session = ExplorationSession::over(Arc::clone(&self.index));
         let token = format!("s{}", self.next_token.fetch_add(1, Ordering::Relaxed));
         let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         Self::sweep_expired(&mut map, self.ttl, &self.expired);
@@ -142,9 +141,9 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wodex_rdf::{Term, Triple};
+    use wodex_rdf::{Graph, Term, Triple};
 
-    fn graph() -> Arc<Graph> {
+    fn index() -> Arc<ExploreIndex> {
         let mut g = Graph::new();
         for i in 0..10 {
             g.insert(Triple::iri(
@@ -153,14 +152,14 @@ mod tests {
                 Term::iri("http://e.org/Thing"),
             ));
         }
-        Arc::new(g)
+        Arc::new(ExploreIndex::from_graph(&g))
     }
 
     #[test]
     fn open_and_use_a_session() {
-        let m = SessionManager::new(graph(), 8, Duration::from_secs(60));
+        let m = SessionManager::new(index(), 8, Duration::from_secs(60));
         let t = m.open();
-        let n = m.with(&t, |s| s.matching().len()).unwrap();
+        let n = m.with(&t, |s| s.matching_count()).unwrap();
         assert_eq!(n, 10);
         assert!(m.with("nope", |_| ()).is_none());
         assert_eq!(m.stats().active, 1);
@@ -168,20 +167,20 @@ mod tests {
     }
 
     #[test]
-    fn sessions_share_the_graph() {
-        let g = graph();
-        let m = SessionManager::new(Arc::clone(&g), 8, Duration::from_secs(60));
-        let base = Arc::strong_count(&g);
+    fn sessions_share_the_index() {
+        let index = index();
+        let m = SessionManager::new(Arc::clone(&index), 8, Duration::from_secs(60));
+        let base = Arc::strong_count(&index);
         let a = m.open();
         let b = m.open();
-        // Each session adds exactly one Arc handle — no graph clones.
-        assert_eq!(Arc::strong_count(&g), base + 2);
+        // Each session adds exactly one Arc handle — no index rebuilds.
+        assert_eq!(Arc::strong_count(&index), base + 2);
         assert_ne!(a, b);
     }
 
     #[test]
     fn lru_evicts_the_coldest_session() {
-        let m = SessionManager::new(graph(), 2, Duration::from_secs(60));
+        let m = SessionManager::new(index(), 2, Duration::from_secs(60));
         let a = m.open();
         let b = m.open();
         // Touch `a` so `b` is the LRU victim.
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn ttl_expires_idle_sessions() {
-        let m = SessionManager::new(graph(), 8, Duration::from_millis(10));
+        let m = SessionManager::new(index(), 8, Duration::from_millis(10));
         let t = m.open();
         std::thread::sleep(Duration::from_millis(25));
         assert!(m.with(&t, |_| ()).is_none());
@@ -207,7 +206,7 @@ mod tests {
 
     #[test]
     fn session_state_persists_across_requests() {
-        let m = SessionManager::new(graph(), 8, Duration::from_secs(60));
+        let m = SessionManager::new(index(), 8, Duration::from_secs(60));
         let t = m.open();
         m.with(&t, |s| {
             s.filter(wodex_rdf::vocab::rdf::TYPE, "http://e.org/Thing")

@@ -103,12 +103,16 @@ impl TripleStore {
         }
     }
 
-    /// Builds a store from an RDF [`Graph`] in one bulk pass.
+    /// Builds a store from an RDF [`Graph`] in one bulk pass: terms are
+    /// interned in graph order and the indexes built by sorting, with no
+    /// per-triple membership probe (a graph's triples are distinct).
     pub fn from_graph(graph: &Graph) -> TripleStore {
-        let mut store = TripleStore::new();
-        store.insert_graph(graph);
-        store.merge_tail();
-        store
+        let mut dict = TermDict::new();
+        let triples = graph
+            .iter()
+            .map(|t| [&t.subject, &t.predicate, &t.object].map(|term| dict.intern(term.clone()).0))
+            .collect();
+        TripleStore::from_encoded(dict, triples)
     }
 
     /// Builds a single-level store from a dictionary and encoded

@@ -19,14 +19,15 @@
 
 use crate::charts;
 use crate::prefs::UserPreferences;
-use crate::profile::{profile_property, DataKind, FieldProfile};
+use crate::profile::{profile_triples, DataKind, FieldProfile};
 use crate::recommend::{recommend, Recommendation, VisKind};
 use crate::render;
 use crate::scene::Scene;
+use std::sync::Arc;
 use wodex_graph::adjacency::Adjacency;
 use wodex_graph::layout::{self, FrParams, Layout};
 use wodex_rdf::vocab::geo;
-use wodex_rdf::{Graph, Term, Value};
+use wodex_rdf::{Graph, Term, Triple, Value};
 
 /// Stage 2 output: the reduced, visualization-ready form of the data.
 #[derive(Debug, Clone)]
@@ -113,18 +114,20 @@ pub trait Analyzer: Send + Sync {
     fn analyze(&self, source: &Graph, predicate: &str, prefs: &UserPreferences) -> Abstraction;
 }
 
-/// The four-stage pipeline over one source graph.
+/// The four-stage pipeline over one source graph. The graph is shared,
+/// not owned: a pipeline beside an explorer reads the explorer's graph.
 pub struct LdvmPipeline {
-    source: Graph,
+    source: Arc<Graph>,
     prefs: UserPreferences,
     analyzers: Vec<Box<dyn Analyzer>>,
 }
 
 impl LdvmPipeline {
-    /// Stage 1: wraps the source data.
-    pub fn new(source: Graph) -> LdvmPipeline {
+    /// Stage 1: wraps the source data (an owned [`Graph`] or a shared
+    /// handle to one).
+    pub fn new(source: impl Into<Arc<Graph>>) -> LdvmPipeline {
         LdvmPipeline {
-            source,
+            source: source.into(),
             prefs: UserPreferences::default(),
             analyzers: Vec::new(),
         }
@@ -149,17 +152,18 @@ impl LdvmPipeline {
     }
 
     /// Stage 2 for a single property: profile it and build the matching
-    /// reduced abstraction.
+    /// reduced abstraction. The property's triples are gathered in one
+    /// pass over the source; profile and abstraction both read that.
     pub fn analyze_property(&self, predicate: &str) -> Abstraction {
-        let profile = profile_property(&self.source, predicate);
+        let triples: Vec<&Triple> = self.source.triples_for_predicate(predicate).collect();
+        let profile = profile_triples(predicate, &triples);
         if let Some(a) = self.analyzers.iter().find(|a| a.applies(&profile)) {
             return a.analyze(&self.source, predicate, &self.prefs);
         }
         match profile.kind {
             DataKind::Numeric | DataKind::Temporal => {
-                let values: Vec<f64> = self
-                    .source
-                    .triples_for_predicate(predicate)
+                let values: Vec<f64> = triples
+                    .iter()
                     .filter_map(|t| t.object.as_literal())
                     .map(Value::from_literal)
                     .filter_map(|v| {
@@ -179,11 +183,10 @@ impl LdvmPipeline {
             },
             DataKind::Graph => {
                 // Induce the subgraph of this object property.
-                let sub: Graph = self
-                    .source
-                    .triples_for_predicate(predicate)
+                let sub: Graph = triples
+                    .iter()
                     .filter(|t| t.object.is_resource())
-                    .cloned()
+                    .map(|&t| t.clone())
                     .collect();
                 let (adj, _) = Adjacency::from_rdf(&sub);
                 let lay = layout::fruchterman_reingold(
@@ -201,7 +204,7 @@ impl LdvmPipeline {
             _ => {
                 // Categorical/text: count object values.
                 let mut counts: std::collections::BTreeMap<String, f64> = Default::default();
-                for t in self.source.triples_for_predicate(predicate) {
+                for t in &triples {
                     let label = match &t.object {
                         Term::Iri(i) => i.local_name().to_string(),
                         Term::Literal(l) => l.lexical().to_string(),

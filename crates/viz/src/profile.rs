@@ -8,7 +8,7 @@
 
 use wodex_rdf::stats::NumericSummary;
 use wodex_rdf::vocab::geo;
-use wodex_rdf::{Graph, Term, Value};
+use wodex_rdf::{Graph, Term, Triple, Value};
 
 /// The data-type taxonomy of the survey's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,20 +104,29 @@ impl FieldProfile {
 /// properties are spatial, and object properties (resource objects) are
 /// graph-shaped.
 pub fn profile_property(graph: &Graph, predicate: &str) -> FieldProfile {
-    if predicate == geo::LAT || predicate == geo::LONG {
-        let values: Vec<Value> = graph
-            .triples_for_predicate(predicate)
+    let triples: Vec<&Triple> = graph.triples_for_predicate(predicate).collect();
+    profile_triples(predicate, &triples)
+}
+
+/// [`profile_property`] over the property's triples, already gathered —
+/// for callers that go on to read the same triples again.
+pub fn profile_triples(predicate: &str, triples: &[&Triple]) -> FieldProfile {
+    let literal_values = || -> Vec<Value> {
+        triples
+            .iter()
             .filter_map(|t| t.object.as_literal().map(Value::from_literal))
-            .collect();
-        let mut p = FieldProfile::detect(predicate, &values);
+            .collect()
+    };
+    if predicate == geo::LAT || predicate == geo::LONG {
+        let mut p = FieldProfile::detect(predicate, &literal_values());
         p.kind = DataKind::Spatial;
         return p;
     }
     // `rdf:type` objects are IRIs, but semantically they are categories
     // (class membership) — the field every faceted browser starts from.
     if predicate == wodex_rdf::vocab::rdf::TYPE {
-        let values: Vec<Value> = graph
-            .triples_for_predicate(predicate)
+        let values: Vec<Value> = triples
+            .iter()
             .map(|t| Value::Text(t.object.to_string()))
             .collect();
         let mut p = FieldProfile::detect(predicate, &values);
@@ -126,30 +135,25 @@ pub fn profile_property(graph: &Graph, predicate: &str) -> FieldProfile {
         }
         return p;
     }
-    let mut resource_objects = 0usize;
-    let mut values = Vec::new();
-    let mut total = 0usize;
-    for t in graph.triples_for_predicate(predicate) {
-        total += 1;
-        match &t.object {
-            Term::Literal(l) => values.push(Value::from_literal(l)),
-            _ => resource_objects += 1,
-        }
-    }
+    let total = triples.len();
+    let resource_objects = triples
+        .iter()
+        .filter(|t| !matches!(t.object, Term::Literal(_)))
+        .count();
     if total > 0 && resource_objects * 10 >= total * 8 {
         return FieldProfile {
             name: predicate.to_string(),
             kind: DataKind::Graph,
             count: total,
-            distinct: graph
-                .triples_for_predicate(predicate)
-                .map(|t| t.object.to_string())
+            distinct: triples
+                .iter()
+                .map(|t| &t.object)
                 .collect::<std::collections::HashSet<_>>()
                 .len(),
             numeric: None,
         };
     }
-    FieldProfile::detect(predicate, &values)
+    FieldProfile::detect(predicate, &literal_values())
 }
 
 /// Profiles every predicate of a graph (the dataset-level view a

@@ -79,6 +79,80 @@ grep -q "shut down cleanly" "$SMOKE_DIR/serve.log" || {
     exit 1
 }
 
+echo "==> explore smoke (200 sessions over one shared index, one click cycle, < 20 MB RSS growth)"
+awk 'BEGIN {
+    split("red green blue amber ivory olive coral slate", word, " ")
+    for (i = 0; i < 5000; i++) {
+        s = "<http://ex.org/e" i ">"
+        printf "%s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex.org/Class%d> .\n", s, i % 5
+        printf "%s <http://www.w3.org/2000/01/rdf-schema#label> \"item %d %s\" .\n", s, i, word[i % 8 + 1]
+        printf "%s <http://ex.org/category> <http://ex.org/cat%d> .\n", s, i % 20
+        printf "%s <http://ex.org/population> \"%d\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n", s, (i * 7919) % 100000
+        printf "%s <http://ex.org/cites> <http://ex.org/e%d> .\n", s, (i * 31 + 7) % 5000
+    }
+}' > "$SMOKE_DIR/explore.nt"
+./target/release/wodex serve "$SMOKE_DIR/explore.nt" --workers 2 --sessions 200 \
+    > "$SMOKE_DIR/explore.log" 2>&1 &
+EXPLORE_PID=$!
+PORT=""
+for _ in $(seq 1 100); do
+    PORT=$(sed -n 's#.*listening on http://127\.0\.0\.1:\([0-9]*\).*#\1#p' "$SMOKE_DIR/explore.log")
+    [ -n "$PORT" ] && break
+    sleep 0.1
+done
+[ -n "$PORT" ] || { echo "verify: FAIL — explore smoke server never reported its port"; exit 1; }
+BASE="http://127.0.0.1:$PORT"
+curl -sf "$BASE/healthz" > /dev/null
+rss_kb() { awk '/^VmRSS:/ { print $2 }' "/proc/$EXPLORE_PID/status"; }
+RSS_BEFORE=$(rss_kb)
+TOKEN=""
+for _ in $(seq 1 200); do
+    TOKEN=$(curl -sf -X POST "$BASE/explore/open" | sed 's/.*"session":"\([^"]*\)".*/\1/')
+done
+RSS_GROWTH=$(( $(rss_kb) - RSS_BEFORE ))
+[ "$RSS_GROWTH" -lt 20480 ] || {
+    echo "verify: FAIL — 200 session opens grew the server by ${RSS_GROWTH} kB (limit 20480)"
+    exit 1
+}
+# One click cycle on the last session; each answer is checked against
+# what the generated dataset makes it (1000 per class, 250 per category,
+# 625 per colour word).
+expect() { # endpoint-and-query, substring the body must contain
+    local body
+    body=$(curl -sf "$BASE/$1") || { echo "verify: FAIL — GET /$1 failed"; exit 1; }
+    case "$body" in
+        *"$2"*) ;;
+        *) echo "verify: FAIL — /$1 answered without $2 (got: ${body:0:200})"; exit 1 ;;
+    esac
+}
+S="session=$TOKEN"
+CATEGORY="predicate=http%3A%2F%2Fex.org%2Fcategory"
+POPULATION="predicate=http%3A%2F%2Fex.org%2Fpopulation"
+expect "explore/overview?$S" '"count":1000'
+expect "explore/facets?$S" '"cardinality":20'
+expect "explore/filter?$S&$CATEGORY&value=http%3A%2F%2Fex.org%2Fcat3" '"matching":250,"operations":1'
+expect "explore/zoom?$S&$POPULATION&lo=0&hi=1e9" '"matching":250,"operations":2'
+expect "explore/search?$S&q=coral" '"operations":3'
+expect "explore/hits?$S&q=coral&limit=5" '"subject":"<http://ex.org/e'
+expect "explore/details?$S&iri=http%3A%2F%2Fex.org%2Fe7" '"label":"item 7 '
+expect "explore/undo?$S" '"undone":"search'
+expect "explore/undo?$S" '"matching":250'
+expect "explore/undo?$S" '"matching":5000'
+expect "viz/hist?$POPULATION&bins=16" '"values":5000'
+expect "viz/chart?$POPULATION" '<svg'
+expect "viz/recommend?$POPULATION" '"recommendations":[{'
+expect "stats" '"active":200,"opened":200'
+expect "stats" '"renders":1'
+curl -sf -X POST "$BASE/admin/shutdown" > /dev/null
+wait "$EXPLORE_PID" || { echo "verify: FAIL — explore smoke server exited non-zero"; exit 1; }
+
+echo "==> standing benchmark, quick explore_session run (every answer verified, failed == 0)"
+BENCH_LINE=$(bash benchmark/run.sh --quick --workload explore_session --seed 1 --seconds 2 --trace 0 | tail -1)
+echo "$BENCH_LINE" | grep -q '"failed": 0' || {
+    echo "verify: FAIL — benchmark explore_session had failed operations: $BENCH_LINE"
+    exit 1
+}
+
 echo "==> repro bench-pr3 (serving layer: zero drops, shed = 503 + Retry-After)"
 WODEX_SERVE_CONNS=16 WODEX_SERVE_REQS=4 WODEX_SERVE_ENTITIES=300 \
     cargo run -q --release --offline -p wodex-bench --bin repro -- bench-pr3

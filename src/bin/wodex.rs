@@ -121,14 +121,14 @@ fn dispatch(cmd: &str, ex: &Explorer, rest: &[String]) -> i32 {
             0
         }
         "facets" => {
-            let session = wodex::explore::ExplorationSession::shared(ex.shared_graph());
-            for f in session.facets().facets() {
+            let engine = wodex::explore::FacetEngine::over(ex.explore_index().clone());
+            for f in engine.facets() {
                 println!(
                     "{} ({} values)",
                     wodex::rdf::vocab::abbreviate(&f.predicate),
                     f.cardinality
                 );
-                for (v, n) in session.facets().counts(&f.predicate).into_iter().take(8) {
+                for (v, n) in engine.counts(&f.predicate).into_iter().take(8) {
                     println!("  {n:>6}  {v}");
                 }
             }

@@ -169,6 +169,79 @@ fn segcache_lookups_conserve_under_concurrent_scans() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The view cache obeys the same law — every lookup is one hit or one
+/// miss — and single-flight bounds the pipeline runs: eight threads
+/// racing cold misses on a handful of keys render each key once, so
+/// `renders <= misses`. The exploration-index gauges and these counters
+/// are also what `/stats` and `/metrics` report.
+#[test]
+fn viewcache_lookups_conserve_under_concurrent_chart_requests() {
+    let _guard = lock();
+    let names = ["lookups", "hits", "misses", "renders"];
+    let read = || names.map(|n| counter(&format!("wodex_viewcache_{n}_total")));
+    let before = read();
+    let server = Server::bind(explorer(150), ServeConfig::default())
+        .expect("bind")
+        .spawn();
+    let state = server.state();
+    let predicates = ["population", "area", "foundingDate"];
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (state, barrier) = (&state, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for round in 0..6 {
+                    let p = predicates[(t + round) % predicates.len()];
+                    let p = format!("http://dbp.example.org/ontology/{p}");
+                    let budget = Budget::unlimited().with_row_cap(1_000_000);
+                    let (view, degraded) = state.explorer.visualize_budgeted(&p, &budget);
+                    assert!(degraded.is_none() && view.svg.contains("<svg"));
+                    assert!(!state.explorer.cached_view(&p).recommendations.is_empty());
+                }
+            });
+        }
+    });
+    let [lookups, hits, misses, renders] = {
+        let after = read();
+        [0, 1, 2, 3].map(|i| after[i] - before[i])
+    };
+    assert_eq!(lookups, (THREADS * 6 * 2) as u64);
+    assert_eq!(
+        hits + misses,
+        lookups,
+        "every lookup is one hit or one miss"
+    );
+    assert_eq!(renders, predicates.len() as u64, "one render per key");
+    assert!(renders <= misses);
+    assert_eq!(state.explorer.view_cache().renders(), renders);
+
+    let send = |target: &str| -> String {
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        write!(s, "GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+        let mut buf = String::new();
+        s.read_to_string(&mut buf).expect("read");
+        buf
+    };
+    let metrics = send("/metrics");
+    let stats = send("/stats");
+    server.shutdown().expect("clean shutdown");
+    let bytes = state.explorer.explore_index().bytes();
+    assert!(metrics.contains(&format!("\nwodex_explore_index_bytes {bytes}\n")));
+    assert!(metrics.contains("# TYPE wodex_explore_index_build_seconds gauge"));
+    assert!(stats.contains(&format!(
+        "\"explore_index\":{{\"bytes\":{bytes},\"build_seconds\":"
+    )));
+    for (name, total) in names.iter().zip(read()) {
+        assert!(metrics.contains(&format!("\nwodex_viewcache_{name}_total {total}\n")));
+        assert!(
+            stats.contains(&format!("\"{name}\":{total}")),
+            "{name} in {stats}"
+        );
+    }
+}
+
 #[test]
 fn accepted_connections_are_served_or_shed() {
     let _guard = lock();

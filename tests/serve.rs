@@ -279,6 +279,44 @@ fn every_endpoint_answers() {
 }
 
 #[test]
+fn concurrent_first_chart_requests_share_one_render() {
+    const CLIENTS: usize = 8;
+    let rs = boot(ServeConfig {
+        workers: CLIENTS,
+        ..Default::default()
+    });
+    let addr = rs.addr();
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let chart = get(addr, &format!("/viz/chart?predicate={POP}"));
+                    assert_eq!(chart.status, 200);
+                    assert_eq!(chart.header("X-Wodex-Degraded"), Some("none"));
+                    chart.body
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    assert!(bodies[0].starts_with(b"<svg"));
+    assert!(bodies.iter().all(|b| b == &bodies[0]), "byte-identical");
+    let state = rs.state();
+    assert_eq!(state.explorer.view_cache().renders(), 1);
+    // The ranking of the same property is read off the same view, and a
+    // cached chart is served whole even when the budget affords no row.
+    let rec = get(addr, &format!("/viz/recommend?predicate={POP}"));
+    assert!(rec.text().contains("\"recommendations\":[{"));
+    let capped = get(addr, &format!("/viz/chart?predicate={POP}&row_cap=1"));
+    assert_eq!(capped.header("X-Wodex-Degraded"), Some("none"));
+    assert_eq!(capped.body, bodies[0]);
+    assert_eq!(state.explorer.view_cache().renders(), 1);
+    rs.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn sparql_streams_chunks_that_reassemble_to_the_plain_answer() {
     let cfg = ServeConfig {
         stream_rows: 8,
