@@ -29,6 +29,14 @@ use wodex_viz::recommend::VisKind;
 
 type Key = (String, Option<VisKind>);
 
+/// A view whose SVG is larger than this is handed to its callers but not
+/// kept: with the entry count it bounds what the cache can hold (64 views
+/// are at most 16 MB of SVG, plus scenes of proportional size), where one
+/// node-link chart of a 10⁴-resource property is 2 MB on its own. Such a
+/// chart is laid out again per request; concurrent requests for it still
+/// share one render.
+pub const MAX_CACHED_SVG_BYTES: usize = 256 * 1024;
+
 /// Global registry series for every view cache of the process. Each
 /// [`ViewCache::lookup`] resolves to exactly one hit or miss, so
 /// `hits + misses == lookups`; a miss leads to at most one render, so
@@ -106,6 +114,8 @@ impl Drop for FlightGuard<'_> {
 
 /// An LRU cache of rendered views keyed by `(predicate, chart kind)`.
 /// Views are handed out behind [`Arc`]s: a hit copies no scene or SVG.
+/// Views over [`MAX_CACHED_SVG_BYTES`] are rendered and shared among the
+/// callers waiting for them, never kept.
 pub struct ViewCache {
     cache: Mutex<LruCache<Key, Arc<View>>>,
     flights: Mutex<HashMap<Key, Arc<Flight>>>,
@@ -218,7 +228,9 @@ impl ViewCache {
                 });
                 self.renders.fetch_add(1, Ordering::Relaxed);
                 cache_metrics().renders.inc();
-                self.lock().put(key.clone(), Arc::clone(&v));
+                if v.svg.len() <= MAX_CACHED_SVG_BYTES {
+                    self.lock().put(key.clone(), Arc::clone(&v));
+                }
                 v
             }
         };
@@ -298,6 +310,26 @@ mod tests {
         assert_eq!(cache.stats().evictions, 2);
         cache.invalidate();
         assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn an_oversized_view_is_rendered_per_request_and_never_kept() {
+        // A node-link chart of a few thousand resources is past the cap.
+        let ex = Explorer::from_graph(dbpedia::generate(&DbpediaConfig {
+            entities: 1_500,
+            ..Default::default()
+        }));
+        let links = "http://dbp.example.org/ontology/linksTo";
+        let cache = ViewCache::new(8);
+        let a = cache.view(&ex, links, None);
+        assert!(a.svg.len() > MAX_CACHED_SVG_BYTES, "{} bytes", a.svg.len());
+        let b = cache.view(&ex, links, None);
+        assert_eq!(a.svg, b.svg);
+        assert_eq!(cache.renders(), 2);
+        assert!(cache.lookup(links, None).is_none());
+        // A small view beside it is kept as before.
+        cache.view(&ex, POP, None);
+        assert!(cache.lookup(POP, None).is_some());
     }
 
     #[test]
