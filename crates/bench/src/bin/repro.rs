@@ -3,17 +3,7 @@
 //! * `repro table1` / `repro table2` — the survey's tables from the corpus.
 //! * `repro claims`  — the §4 gap analysis (C1–C5), derived by query.
 //! * `repro map`     — the feature→module capability cross-reference.
-//! * `repro e1` ... `repro e14` — one experiment.
-//! * `repro bench-pr1` — serial-vs-parallel timings → `BENCH_PR1.json`.
-//! * `repro bench-pr2` — fault-free resilience overhead → `BENCH_PR2.json`.
-//! * `repro bench-pr3` — HTTP serving layer under load → `BENCH_PR3.json`.
-//! * `repro bench-pr4` — observability instrumented overhead → `BENCH_PR4.json`.
-//! * `repro bench-pr5` — cost-based planner vs greedy joins → `BENCH_PR5.json`.
-//! * `repro bench-pr6` — multiway (WCO) joins vs pairwise plans → `BENCH_PR6.json`.
-//! * `repro bench-pr7` — sharded scatter-gather fleets + fault run → `BENCH_PR7.json`.
-//! * `repro bench-pr8` — segment-store bulk load + scan parity → `BENCH_PR8.json`.
-//! * `repro bench-pr9` — live synopsis maintenance + snapshot reads → `BENCH_PR9.json`.
-//! * `repro bench-pr10` — segment scan engine: cache + zone maps → `BENCH_PR10.json`.
+//! * `repro e1` ... `repro e15` — one experiment.
 //! * `repro all` (default) — everything, in `EXPERIMENTS.md` order.
 
 use wodex_bench::experiments;
@@ -48,56 +38,6 @@ fn main() {
                 println!("{}", wodex_registry::table::summary_line(&s));
             }
         }
-        "bench-pr1" => {
-            let json = wodex_bench::parbench::report();
-            std::fs::write("BENCH_PR1.json", &json).expect("write BENCH_PR1.json");
-            print!("{json}");
-        }
-        "bench-pr2" => {
-            let json = wodex_bench::faultbench::report();
-            std::fs::write("BENCH_PR2.json", &json).expect("write BENCH_PR2.json");
-            print!("{json}");
-        }
-        "bench-pr3" => {
-            let json = wodex_bench::servebench::report();
-            std::fs::write("BENCH_PR3.json", &json).expect("write BENCH_PR3.json");
-            print!("{json}");
-        }
-        "bench-pr4" => {
-            let json = wodex_bench::obsbench::report();
-            std::fs::write("BENCH_PR4.json", &json).expect("write BENCH_PR4.json");
-            print!("{json}");
-        }
-        "bench-pr5" => {
-            let json = wodex_bench::planbench::report();
-            std::fs::write("BENCH_PR5.json", &json).expect("write BENCH_PR5.json");
-            print!("{json}");
-        }
-        "bench-pr6" => {
-            let json = wodex_bench::wcobench::report();
-            std::fs::write("BENCH_PR6.json", &json).expect("write BENCH_PR6.json");
-            print!("{json}");
-        }
-        "bench-pr7" => {
-            let json = wodex_bench::shardbench::report();
-            std::fs::write("BENCH_PR7.json", &json).expect("write BENCH_PR7.json");
-            print!("{json}");
-        }
-        "bench-pr8" => {
-            let json = wodex_bench::segbench::report();
-            std::fs::write("BENCH_PR8.json", &json).expect("write BENCH_PR8.json");
-            print!("{json}");
-        }
-        "bench-pr9" => {
-            let json = wodex_bench::livebench::report();
-            std::fs::write("BENCH_PR9.json", &json).expect("write BENCH_PR9.json");
-            print!("{json}");
-        }
-        "bench-pr10" => {
-            let json = wodex_bench::scanbench::report();
-            std::fs::write("BENCH_PR10.json", &json).expect("write BENCH_PR10.json");
-            print!("{json}");
-        }
         "all" => {
             println!("{}", wodex_registry::render_table1());
             println!("{}", wodex_registry::render_table2());
@@ -109,9 +49,7 @@ fn main() {
             if let Some((_, f)) = experiments_by_id.iter().find(|(k, _)| *k == id) {
                 print!("{}", f());
             } else {
-                eprintln!(
-                    "unknown target {id:?}; use table1|table2|claims|map|list|bench-pr1|bench-pr2|bench-pr3|bench-pr4|bench-pr5|bench-pr6|bench-pr7|bench-pr8|bench-pr9|bench-pr10|all|e1..e15"
-                );
+                eprintln!("unknown target {id:?}; use table1|table2|claims|map|list|all|e1..e15");
                 std::process::exit(2);
             }
         }

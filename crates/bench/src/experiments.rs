@@ -9,9 +9,7 @@ use wodex_approx::sampling::Reservoir;
 use wodex_graph::layout::{self, FrParams};
 use wodex_graph::spatial::{QuadTree, Rect};
 use wodex_hetree::{HETree, Variant};
-use wodex_store::buffer::BufferPool;
 use wodex_store::cracking::{CrackerColumn, ScanColumn, SortedColumn};
-use wodex_store::paged::{MemBackend, PagedTripleStore};
 use wodex_store::prefetch::TilePrefetcher;
 use wodex_synth::values::Shape;
 
@@ -159,31 +157,52 @@ pub fn e4_cracking() -> String {
     out
 }
 
-/// E5 — paged store: memory bounded by pool, I/O bounded by touched
-/// window.
+/// E5 — segment store: memory bounded by the decoded-block cache, I/O
+/// bounded by the touched window.
 pub fn e5_disk() -> String {
+    use std::sync::Arc;
+    use wodex_rdf::TermId;
+    use wodex_seg::{BlockCache, Segment};
+    use wodex_store::{PageBackend, Pattern, SegmentSource};
+
+    const BLOCK_TRIPLES: usize = 512;
     let mut out =
-        String::from("E5  paged store: physical reads per access pattern (500k triples)\n");
+        String::from("E5  segment store: backend reads per access pattern (500k triples)\n");
     let triples = workloads::tiled_triples(5_000, 100);
-    let store = PagedTripleStore::bulk_load(MemBackend::new(), &triples).expect("in-memory load");
-    let pages = store.page_count();
-    let _ = writeln!(out, "  {} triples in {pages} pages of 8 KiB", store.len());
-    for &pool_pages in &[8usize, 64, 1024] {
-        let pool = BufferPool::new(pool_pages);
-        let before = store.physical_reads();
-        store
-            .scan_subject_range(&pool, 2000, 2020) // ~0.4% window
+    let dir = std::env::temp_dir().join(format!("wodex_e5_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("e5.seg");
+    let meta = wodex_seg::format::write_spo_segment(&path, BLOCK_TRIPLES, &triples)
+        .expect("segment write");
+    let _ = writeln!(
+        out,
+        "  {} triples in {} SPO blocks of {BLOCK_TRIPLES} triples ({} KiB decoded)",
+        meta.triples,
+        meta.sections[0].len(),
+        triples.len() * 12 / 1024
+    );
+    for &cache_kib in &[128usize, 1024, 16 * 1024] {
+        let mut seg = Segment::open(&path).expect("segment open");
+        let cache = Arc::new(BlockCache::new(cache_kib << 10));
+        seg.set_block_cache(Some(Arc::clone(&cache)));
+        let before = seg.backend().reads();
+        for s in 2000..=2020 {
+            // ~0.4% window
+            seg.scan_keys(Pattern::any().with_s(TermId(s)))
+                .expect("fault-free scan");
+        }
+        let window_reads = seg.backend().reads() - before;
+        let before = seg.backend().reads();
+        seg.scan_chunks(Pattern::any(), &mut |_| true)
             .expect("fault-free scan");
-        let window_reads = store.physical_reads() - before;
-        let before = store.physical_reads();
-        store.scan_all(&pool).expect("fault-free scan");
-        let full_reads = store.physical_reads() - before;
+        let full_reads = seg.backend().reads() - before;
         let _ = writeln!(
             out,
-            "  pool={pool_pages:>5} pages ({:>5} KiB): window scan {window_reads} reads, full scan {full_reads} reads",
-            pool_pages * 8
+            "  cache={cache_kib:>5} KiB: window scan {window_reads} reads, full scan {full_reads} reads, {} KiB resident",
+            cache.resident_bytes() / 1024
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
     out
 }
 

@@ -3,26 +3,14 @@
 //! One module per experiment of `EXPERIMENTS.md` (T1/T2 table
 //! regeneration, C1–C5 claim re-derivation, E1–E14 technique
 //! experiments). Each experiment is a plain function returning a textual
-//! report with its measured numbers; the `repro` binary runs them all,
-//! and the Criterion benches in `benches/` time the same underlying
-//! operations with statistical rigor.
+//! report with its measured numbers; the `repro` binary runs them all.
 //!
 //! Experiments measure **shape**, not absolute wall-clock: who wins, by
 //! roughly what factor, and where crossovers fall — per the reproduction
-//! contract in `DESIGN.md`.
+//! contract in `DESIGN.md`. Timing that gates a change belongs to the
+//! standing benchmark in `benchmark/`.
 
-pub mod crit;
 pub mod experiments;
-pub mod faultbench;
-pub mod livebench;
-pub mod obsbench;
-pub mod parbench;
-pub mod planbench;
-pub mod scanbench;
-pub mod segbench;
-pub mod servebench;
-pub mod shardbench;
-pub mod wcobench;
 pub mod workloads;
 
 /// Formats a duration in adaptive units.

@@ -1,4 +1,4 @@
-//! Shared workload construction for experiments and Criterion benches.
+//! Shared workload construction for the experiments.
 
 use wodex_graph::adjacency::Adjacency;
 use wodex_store::encoded::EncodedTriple;
@@ -28,101 +28,6 @@ pub fn dbpedia_graph(entities: usize) -> wodex_rdf::Graph {
         entities,
         ..Default::default()
     })
-}
-
-/// A Zipf-skewed citation graph: `entities` nodes each typed into a
-/// small `Hub` / mid-sized `Mid` / large `Node` class by rank, with
-/// `out_degree` `cites` edges whose *targets* follow a Zipf(`exponent`)
-/// rank distribution (low-rank entities soak up most in-links) and an
-/// integer `weight` property per node. The heavy skew is the join
-/// planner's stress case: base pattern counts are nearly useless, so
-/// join-order and operator choices hinge on per-position distinct
-/// counts.
-pub fn zipf_store(entities: usize, out_degree: usize, exponent: f64, seed: u64) -> TripleStore {
-    use wodex_rdf::vocab::rdf;
-    use wodex_rdf::{Term, Triple};
-    use wodex_synth::dist::Zipf;
-
-    let ns = "http://zipf.example.org/";
-    let zipf = Zipf::new(entities, exponent);
-    let mut rng = wodex_synth::rng(seed);
-    let mut g = wodex_rdf::Graph::new();
-    let hubs = (entities / 100).max(1);
-    let mids = (entities / 10).max(1);
-    for i in 0..entities {
-        let s = format!("{ns}e{i}");
-        let class = if i < hubs {
-            "Hub"
-        } else if i < hubs + mids {
-            "Mid"
-        } else {
-            "Node"
-        };
-        g.insert(Triple::iri(
-            &s,
-            rdf::TYPE,
-            Term::iri(format!("{ns}cls/{class}")),
-        ));
-        g.insert(Triple::iri(
-            &s,
-            &format!("{ns}weight"),
-            Term::integer((i % 101) as i64),
-        ));
-        for _ in 0..out_degree {
-            let target = zipf.sample_rank(&mut rng) - 1;
-            g.insert(Triple::iri(
-                &s,
-                &format!("{ns}cites"),
-                Term::iri(format!("{ns}e{target}")),
-            ));
-        }
-    }
-    TripleStore::from_graph(&g)
-}
-
-/// Like [`zipf_store`] but with *directed* Zipf-skewed citations from
-/// [`netgen::zipf_digraph`]: both arc endpoints are rank-sampled, so the
-/// hub-heavy head is dense with directed triangles and small cliques —
-/// the cyclic-query workload the worst-case-optimal join benchmarks
-/// need. (`zipf_store`'s per-source fanout never closes directed
-/// cycles at any useful rate.) Same vocabulary as `zipf_store`:
-/// `z:cites` arcs, `c:Hub`/`c:Mid`/`c:Node` classes, `z:weight`.
-pub fn cyclic_store(entities: usize, arcs: usize, exponent: f64, seed: u64) -> TripleStore {
-    use wodex_rdf::vocab::rdf;
-    use wodex_rdf::{Term, Triple};
-
-    let ns = "http://zipf.example.org/";
-    let mut g = wodex_rdf::Graph::new();
-    let hubs = (entities / 100).max(1);
-    let mids = (entities / 10).max(1);
-    for i in 0..entities {
-        let s = format!("{ns}e{i}");
-        let class = if i < hubs {
-            "Hub"
-        } else if i < hubs + mids {
-            "Mid"
-        } else {
-            "Node"
-        };
-        g.insert(Triple::iri(
-            &s,
-            rdf::TYPE,
-            Term::iri(format!("{ns}cls/{class}")),
-        ));
-        g.insert(Triple::iri(
-            &s,
-            &format!("{ns}weight"),
-            Term::integer((i % 101) as i64),
-        ));
-    }
-    for (a, b) in netgen::zipf_digraph(entities, arcs, exponent, seed) {
-        g.insert(Triple::iri(
-            &format!("{ns}e{a}"),
-            &format!("{ns}cites"),
-            Term::iri(format!("{ns}e{b}")),
-        ));
-    }
-    TripleStore::from_graph(&g)
 }
 
 /// Sorted encoded triples shaped like a laid-out graph partitioned into
@@ -177,44 +82,6 @@ mod tests {
         assert_eq!(ba_graph(100).node_count(), 100);
         assert!(dbpedia_store(50).len() > 200);
         assert_eq!(tiled_triples(10, 5).len(), 50);
-    }
-
-    #[test]
-    fn zipf_store_is_seeded_and_skewed() {
-        let a = zipf_store(200, 4, 1.1, 9);
-        let b = zipf_store(200, 4, 1.1, 9);
-        assert_eq!(a.len(), b.len(), "same seed, same graph");
-        // type + weight per entity, plus deduplicated cites edges.
-        assert!(a.len() > 200 * 2 && a.len() <= 200 * 6);
-        // Rank 0 must be a far heavier citation target than a tail rank.
-        let hits = |id: usize| {
-            let cites = wodex_rdf::Term::iri("http://zipf.example.org/cites");
-            let target = wodex_rdf::Term::iri(format!("http://zipf.example.org/e{id}"));
-            a.encode_pattern(None, Some(&cites), Some(&target))
-                .map_or(0, |p| a.match_pattern(p).len())
-        };
-        assert!(hits(0) > 10 * hits(190).max(1), "in-degree must be skewed");
-    }
-
-    #[test]
-    fn cyclic_store_is_seeded_and_has_directed_triangles() {
-        let a = cyclic_store(300, 1500, 1.0, 9);
-        let b = cyclic_store(300, 1500, 1.0, 9);
-        assert_eq!(a.len(), b.len(), "same seed, same graph");
-        let q = "PREFIX z: <http://zipf.example.org/>\n\
-                 SELECT (COUNT(*) AS ?n) WHERE { \
-                 ?a z:cites ?b . ?b z:cites ?c . ?c z:cites ?a }";
-        let out = wodex_sparql::query(&a, q).expect("triangle query runs");
-        let n: u64 = match out {
-            wodex_sparql::QueryResult::Solutions(t) => {
-                match t.rows.first().and_then(|r| r.first()) {
-                    Some(Some(wodex_rdf::Term::Literal(l))) => l.lexical().parse().unwrap_or(0),
-                    _ => 0,
-                }
-            }
-            _ => 0,
-        };
-        assert!(n > 0, "workload must contain directed triangles");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! caller renders, every simultaneous caller waits for that one result
 //! instead of duplicating the pipeline run. (N sessions opening the same
 //! popular view at once is the common stampede; without coalescing they
-//! would all pay the render and the last `put` would win.)
+//! would all pay the render and the last insert would win.)
 
 use crate::explorer::Explorer;
 use std::collections::HashMap;
@@ -30,11 +30,9 @@ use wodex_viz::recommend::VisKind;
 type Key = (String, Option<VisKind>);
 
 /// A view whose SVG is larger than this is handed to its callers but not
-/// kept: with the entry count it bounds what the cache can hold (64 views
-/// are at most 16 MB of SVG, plus scenes of proportional size), where one
-/// node-link chart of a 10⁴-resource property is 2 MB on its own. Such a
-/// chart is laid out again per request; concurrent requests for it still
-/// share one render.
+/// kept: one node-link chart of a 10⁴-resource property is 2 MB on its
+/// own, an eighth of the explorer's whole cache. Such a chart is laid out
+/// again per request; concurrent requests for it still share one render.
 pub const MAX_CACHED_SVG_BYTES: usize = 256 * 1024;
 
 /// Global registry series for every view cache of the process. Each
@@ -112,10 +110,11 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// An LRU cache of rendered views keyed by `(predicate, chart kind)`.
-/// Views are handed out behind [`Arc`]s: a hit copies no scene or SVG.
-/// Views over [`MAX_CACHED_SVG_BYTES`] are rendered and shared among the
-/// callers waiting for them, never kept.
+/// An LRU cache of rendered views keyed by `(predicate, chart kind)`,
+/// bounded by the total bytes of SVG it holds. Views are handed out
+/// behind [`Arc`]s: a hit copies no scene or SVG. Views over
+/// [`MAX_CACHED_SVG_BYTES`] are rendered and shared among the callers
+/// waiting for them, never kept.
 pub struct ViewCache {
     cache: Mutex<LruCache<Key, Arc<View>>>,
     flights: Mutex<HashMap<Key, Arc<Flight>>>,
@@ -123,7 +122,7 @@ pub struct ViewCache {
 }
 
 impl ViewCache {
-    /// Creates a cache holding at most `capacity` views.
+    /// Creates a cache holding at most `capacity` bytes of SVG.
     pub fn new(capacity: usize) -> ViewCache {
         // Touch the series so a scrape shows them at zero before the
         // first lookup.
@@ -216,9 +215,9 @@ impl ViewCache {
             published: false,
         };
         // Lost-race re-check: the previous flight may have completed
-        // between this caller's miss and its claim. `peek_value` skips
+        // between this caller's miss and its claim. `peek` skips
         // the stats, so the call still accounts exactly one miss.
-        let cached = self.lock().peek_value(key).cloned();
+        let cached = self.lock().peek(key).cloned();
         let v = match cached {
             Some(v) => v,
             None => {
@@ -229,7 +228,7 @@ impl ViewCache {
                 self.renders.fetch_add(1, Ordering::Relaxed);
                 cache_metrics().renders.inc();
                 if v.svg.len() <= MAX_CACHED_SVG_BYTES {
-                    self.lock().put(key.clone(), Arc::clone(&v));
+                    self.lock().insert(key.clone(), Arc::clone(&v), v.svg.len());
                 }
                 v
             }
@@ -279,7 +278,7 @@ mod tests {
     #[test]
     fn second_request_is_a_hit_with_identical_view() {
         let ex = explorer();
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         let a = cache.view(&ex, POP, None);
         let b = cache.view(&ex, POP, None);
         assert_eq!(a.svg, b.svg);
@@ -291,7 +290,7 @@ mod tests {
     #[test]
     fn kind_is_part_of_the_key() {
         let ex = explorer();
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         cache.view(&ex, POP, None);
         cache.view(&ex, POP, Some(VisKind::Line));
         assert_eq!(cache.stats().misses, 2);
@@ -302,9 +301,12 @@ mod tests {
     #[test]
     fn capacity_evicts_and_invalidate_clears() {
         let ex = explorer();
-        let cache = ViewCache::new(1);
+        let area = "http://dbp.example.org/ontology/area";
+        // Room for either chart, not for both.
+        let bytes = |p| ex.visualize(p).svg.len();
+        let cache = ViewCache::new(bytes(POP).max(bytes(area)));
         cache.view(&ex, POP, None);
-        cache.view(&ex, "http://dbp.example.org/ontology/area", None);
+        cache.view(&ex, area, None);
         cache.view(&ex, POP, None); // evicted → miss again
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().evictions, 2);
@@ -320,7 +322,7 @@ mod tests {
             ..Default::default()
         }));
         let links = "http://dbp.example.org/ontology/linksTo";
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         let a = cache.view(&ex, links, None);
         assert!(a.svg.len() > MAX_CACHED_SVG_BYTES, "{} bytes", a.svg.len());
         let b = cache.view(&ex, links, None);
@@ -337,7 +339,7 @@ mod tests {
         // A/B/A/B toggling between two chart types — the back-navigation
         // pattern caching exists for.
         let ex = explorer();
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         for _ in 0..5 {
             cache.view(&ex, POP, Some(VisKind::HistogramChart));
             cache.view(&ex, POP, Some(VisKind::Line));
@@ -351,7 +353,7 @@ mod tests {
     #[test]
     fn shared_across_threads() {
         let ex = explorer();
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -370,7 +372,7 @@ mod tests {
         // The stampede regression: N threads miss the same cold key at
         // once; single-flight must run the pipeline exactly once.
         let ex = explorer();
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -393,7 +395,7 @@ mod tests {
     #[test]
     fn recovers_from_a_poisoned_lock() {
         let ex = explorer();
-        let cache = ViewCache::new(8);
+        let cache = ViewCache::new(1 << 20);
         cache.view(&ex, POP, None);
         let poisoned = std::thread::scope(|scope| {
             scope

@@ -1,14 +1,13 @@
 //! The unified error type of the façade.
 //!
 //! Each substrate reports failures in its own vocabulary — parse errors
-//! from `wodex-rdf`, query errors from `wodex-sparql`, typed storage
-//! faults from `wodex-store`. The [`Explorer`](crate::Explorer) methods
-//! that can cross more than one substrate return [`WodexError`] so a
-//! caller matches one enum instead of juggling three.
+//! from `wodex-rdf`, query errors from `wodex-sparql`. The
+//! [`Explorer`](crate::Explorer) methods that can cross more than one
+//! substrate return [`WodexError`] so a caller matches one enum instead
+//! of juggling two.
 
 use wodex_rdf::RdfError;
 use wodex_sparql::QueryError;
-use wodex_store::StoreError;
 
 /// Any error the [`Explorer`](crate::Explorer) façade can surface.
 #[derive(Debug)]
@@ -17,10 +16,6 @@ pub enum WodexError {
     Rdf(RdfError),
     /// Parsing or evaluating a SPARQL query failed.
     Query(QueryError),
-    /// The disk-backed storage path failed (I/O, corruption, exhausted
-    /// retries). Transient faults are retried inside the store before
-    /// this ever surfaces.
-    Store(StoreError),
 }
 
 impl std::fmt::Display for WodexError {
@@ -28,7 +23,6 @@ impl std::fmt::Display for WodexError {
         match self {
             WodexError::Rdf(e) => write!(f, "rdf: {e}"),
             WodexError::Query(e) => write!(f, "query: {e}"),
-            WodexError::Store(e) => write!(f, "store: {e}"),
         }
     }
 }
@@ -47,12 +41,6 @@ impl From<QueryError> for WodexError {
     }
 }
 
-impl From<StoreError> for WodexError {
-    fn from(e: StoreError) -> WodexError {
-        WodexError::Store(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,8 +50,5 @@ mod tests {
         let q: WodexError = QueryError::Eval("boom".into()).into();
         assert!(matches!(q, WodexError::Query(_)));
         assert!(q.to_string().starts_with("query:"));
-        let s: WodexError = StoreError::NoSuchPage { page: 3, pages: 1 }.into();
-        assert!(matches!(s, WodexError::Store(_)));
-        assert!(s.to_string().contains("page"));
     }
 }

@@ -12,9 +12,7 @@ use wodex_hetree::{HETree, Variant};
 use wodex_rdf::stats::DatasetStats;
 use wodex_rdf::{Graph, RdfError, Term, Value};
 use wodex_sparql::{Budget, BudgetedResult, Degraded, QueryError, QueryResult};
-use wodex_store::{
-    BufferPool, EncodedTriple, MemBackend, PagedTripleStore, Pattern, PoolStats, TripleStore,
-};
+use wodex_store::{Pattern, TripleStore};
 use wodex_viz::ldvm::{LdvmPipeline, View};
 use wodex_viz::profile::FieldProfile;
 use wodex_viz::recommend::{Recommendation, VisKind};
@@ -24,59 +22,8 @@ use wodex_viz::UserPreferences;
 /// numeric column.
 const DEGRADED_VIEW_SAMPLE: usize = 512;
 
-/// Rendered views the explorer keeps (LRU beyond this).
-const VIEW_CACHE_CAPACITY: usize = 64;
-
-/// Buffer-pool capacity (pages) backing [`Explorer::disk_view`].
-const DISK_VIEW_POOL_PAGES: usize = 64;
-
-/// A disk-backed scan handle over the dataset (see
-/// [`Explorer::disk_view`]).
-///
-/// All reads go through the checksummed, retrying paged path, so every
-/// method returns `Result` — a fault that survives the retry policy
-/// surfaces as a typed [`WodexError::Store`] instead of a panic.
-pub struct DiskView {
-    paged: PagedTripleStore<MemBackend>,
-    pool: BufferPool,
-}
-
-impl DiskView {
-    /// Number of triples on the paged store.
-    pub fn len(&self) -> usize {
-        self.paged.len()
-    }
-
-    /// True if no triples were materialized.
-    pub fn is_empty(&self) -> bool {
-        self.paged.len() == 0
-    }
-
-    /// Number of 8 KiB pages backing the store.
-    pub fn page_count(&self) -> u32 {
-        self.paged.page_count()
-    }
-
-    /// Every triple, read back through the buffer pool.
-    pub fn scan_all(&self) -> Result<Vec<EncodedTriple>, WodexError> {
-        Ok(self.paged.scan_all(&self.pool)?)
-    }
-
-    /// All triples of one encoded subject.
-    pub fn match_subject(&self, subject: u32) -> Result<Vec<EncodedTriple>, WodexError> {
-        Ok(self.paged.match_subject(&self.pool, subject)?)
-    }
-
-    /// Retry/giveup counters accumulated by the paged read path.
-    pub fn retry_stats(&self) -> wodex_store::RetrySnapshot {
-        self.paged.retry_stats()
-    }
-
-    /// Buffer-pool hit/miss counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-}
+/// Bytes of rendered SVG the explorer keeps (LRU beyond this).
+const VIEW_CACHE_BYTES: usize = 16 << 20;
 
 /// A ready-to-render abstraction view of the dataset's link graph.
 pub struct GraphView {
@@ -178,7 +125,7 @@ impl Explorer {
         let prefs = UserPreferences::default();
         Explorer {
             pipeline: LdvmPipeline::new(Arc::clone(&graph)).with_prefs(prefs.clone()),
-            views: ViewCache::new(VIEW_CACHE_CAPACITY),
+            views: ViewCache::new(VIEW_CACHE_BYTES),
             session: ExplorationSession::over(index),
             graph,
             store,
@@ -581,22 +528,6 @@ impl Explorer {
         (Arc::new(view), Some(Degraded { reason, coverage }))
     }
 
-    /// Materializes the dataset onto the fault-tolerant paged storage
-    /// path and returns a handle for disk-backed scans.
-    ///
-    /// Page reads are checksummed and retried with backoff; errors that
-    /// survive retry surface as typed [`WodexError::Store`] values
-    /// instead of panics.
-    pub fn disk_view(&self) -> Result<DiskView, WodexError> {
-        let mut triples = self.store.match_pattern(Pattern::any());
-        triples.sort_unstable();
-        let paged = PagedTripleStore::bulk_load(MemBackend::new(), &triples)?;
-        Ok(DiskView {
-            paged,
-            pool: BufferPool::new(DISK_VIEW_POOL_PAGES),
-        })
-    }
-
     /// Builds the abstraction-hierarchy view of the dataset's link graph
     /// (graphVizdb/ASK-GraphView style).
     pub fn graph_view(&self) -> GraphView {
@@ -863,22 +794,6 @@ mod tests {
         assert!(degraded.is_none());
         assert_eq!(full.svg, ex.visualize(area).svg);
         assert_eq!(ex.view_cache().renders(), 2);
-    }
-
-    #[test]
-    fn disk_view_round_trips_the_store() {
-        let ex = explorer();
-        let dv = ex.disk_view().unwrap();
-        assert_eq!(dv.len(), ex.store().len());
-        assert!(dv.page_count() >= 1);
-        let all = dv.scan_all().unwrap();
-        assert_eq!(all.len(), ex.store().len());
-        let s = all[0][0];
-        let per_subject = dv.match_subject(s).unwrap();
-        assert!(!per_subject.is_empty());
-        assert!(per_subject.iter().all(|t| t[0] == s));
-        assert_eq!(dv.retry_stats().giveups, 0);
-        assert!(dv.pool_stats().misses > 0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! over very large (RDF) graphs*": lay the graph out **once**, store node
 //! positions in a spatial index, and serve every pan/zoom by a *window
 //! query* that touches O(result) data instead of O(n). [`QuadTree`] is
-//! that index; together with `wodex_store::paged` it reproduces the
-//! disk-backed windowed rendering architecture (experiment E10).
+//! that index; together with the `wodex-seg` block store (E5) it
+//! reproduces the disk-backed windowed rendering architecture
+//! (experiment E10).
 
 use crate::layout::{Layout, Point};
 

@@ -19,9 +19,10 @@
 //!   formatting. The registry's mutex is touched only at *registration*
 //!   (once per series, in constructors / `OnceLock` initializers) and at
 //!   *exposition* (a `/metrics` scrape or `wodex explain` readout).
-//! * **Observation must not perturb the observed** — `repro bench-pr4`
-//!   measures the instrumented paths against the same paths with
-//!   recording disabled ([`set_enabled`]) and gates the overhead at ≤5%.
+//! * **Observation must not perturb the observed** — the standing
+//!   benchmark's `obs.enabled_overhead_ratio` measures the instrumented
+//!   paths against the same paths with recording disabled
+//!   ([`set_enabled`]); the target is ≤5%.
 //!
 //! ## Pieces
 //!

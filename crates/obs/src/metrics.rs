@@ -4,7 +4,7 @@
 //! their handles once (in a constructor or a `OnceLock` initializer) and
 //! record through plain relaxed atomics thereafter. Two registrations of
 //! the same name + label set return the *same* series, which is what lets
-//! every `BufferPool` in the process feed one `wodex_store_pool_*` family
+//! every `BlockCache` in the process feed one `wodex_segcache_*` family
 //! — and what makes the cross-layer conservation invariants
 //! (`hits + misses == lookups`) globally checkable.
 

@@ -48,7 +48,7 @@ pub fn capability_map() -> Vec<Capability> {
         },
         Capability {
             feature: "Disk",
-            modules: &["wodex_store::paged", "wodex_store::buffer"],
+            modules: &["wodex_seg"],
             experiment: "E5 / E10",
         },
         Capability {

@@ -16,8 +16,7 @@
 /// Four independent accumulator lanes process 32 bytes per iteration so
 /// the multiplies pipeline instead of forming one serial dependency
 /// chain — that alone is ~4× over the naive word-at-a-time loop, and is
-/// what keeps the fault-free overhead of a cold page fetch inside the
-/// `BENCH_PR2.json` gate. Each lane step is `(h ^ w) * odd-constant`,
+/// what keeps verification a small part of a cold block fetch. Each lane step is `(h ^ w) * odd-constant`,
 /// which is invertible in `w`, so any single-word change flips its lane
 /// and therefore the combined hash.
 pub fn page_checksum(data: &[u8]) -> u64 {

@@ -3,14 +3,14 @@
 //! Three failure classes, because callers treat them differently:
 //!
 //! * **Transient** — a retry may succeed (flaky read, latency-induced
-//!   timeout, torn read detected by checksum). The paged store retries
+//!   timeout, torn read detected by checksum). The segment store retries
 //!   these under a [`crate::RetryPolicy`].
 //! * **Permanent I/O** — the operation will not succeed by repetition
 //!   (file gone, page id out of range, write refused).
 //! * **Corruption** — the bytes came back but fail validation (checksum
 //!   mismatch, impossible header). Detected, never silently decoded.
 
-/// An error from the disk path: page backend, buffer pool, paged store.
+/// An error from the disk path: block backend, segment store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Permanent I/O failure on `op` (seek/read/write/create).

@@ -6,9 +6,9 @@
 //! return garbage, and a query can cost more than the session is willing to
 //! pay. This crate is the workspace's shared substrate for both:
 //!
-//! * [`StoreError`] — the typed error taxonomy threaded from the page
-//!   backend up through the buffer pool, the paged store, the prefetcher
-//!   and the `Explorer` façade. Transient faults are distinguished from
+//! * [`StoreError`] — the typed error taxonomy threaded from the block
+//!   backend up through the segment store and its `SegmentSource`
+//!   callers. Transient faults are distinguished from
 //!   permanent I/O failures and detected corruption, so callers can retry
 //!   the former and surface the latter.
 //! * [`RetryPolicy`] / [`RetryStats`] — capped exponential backoff for

@@ -1,7 +1,7 @@
 //! Retry with capped exponential backoff.
 //!
 //! Transient disk faults (flaky reads, torn reads caught by checksum) are
-//! the common case in the fault model; the paged store absorbs them with a
+//! the common case in the fault model; the segment store absorbs them with a
 //! bounded retry loop rather than surfacing every blip to the query layer.
 //! Backoff doubles from `base_delay` up to `max_delay` — deterministic (no
 //! jitter) so chaos tests are reproducible — and every outcome is counted

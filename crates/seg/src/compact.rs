@@ -140,7 +140,7 @@ pub fn compact_once(
     let inputs: Vec<ManifestEntry> = manifest.at_level(level).into_iter().cloned().collect();
     let mut segments = Vec::with_capacity(inputs.len());
     for e in &inputs {
-        segments.push(Segment::open(&dir.join(&e.file), 8).map_err(store_err)?);
+        segments.push(Segment::open(&dir.join(&e.file)).map_err(store_err)?);
     }
 
     // Pick an output name not already taken at the target level.

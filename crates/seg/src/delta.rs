@@ -45,7 +45,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use wodex_rdf::{ntriples, TermDict};
 use wodex_resilience::{page_checksum, StoreError};
 use wodex_store::encoded::{decode_key_run, encode_key_run, read_varint, write_varint};
-use wodex_store::index::Order;
 use wodex_store::mvcc::{DeltaFrame, WalSink};
 use wodex_store::{SegmentSource, TripleStore};
 
@@ -424,20 +423,9 @@ pub fn compact_deltas_with(
     let dict = store.dict().clone();
 
     check(2, "compact_write_segment")?;
-    let sort_keys = |order: Order| {
-        let mut keys: Vec<[u32; 3]> = spo.iter().map(|t| order.key(t)).collect();
-        keys.sort_unstable();
-        keys
-    };
     let seg_path = dir.join(&seg_name);
-    crate::format::write_segment(
-        &seg_path,
-        crate::format::DEFAULT_BLOCK_TRIPLES,
-        spo.iter().copied(),
-        sort_keys(Order::Pos),
-        sort_keys(Order::Osp),
-    )
-    .map_err(io("compact_write_segment"))?;
+    crate::format::write_spo_segment(&seg_path, crate::format::DEFAULT_BLOCK_TRIPLES, &spo)
+        .map_err(io("compact_write_segment"))?;
 
     if let Err(e) = check(3, "compact_write_dict") {
         std::fs::remove_file(&seg_path).ok();
@@ -522,19 +510,7 @@ mod tests {
             st.insert(&t(i, i));
         }
         let spo = st.snapshot_sorted();
-        let sort_keys = |order: Order| {
-            let mut keys: Vec<[u32; 3]> = spo.iter().map(|t| order.key(t)).collect();
-            keys.sort_unstable();
-            keys
-        };
-        crate::format::write_segment(
-            &dir.join("base.seg"),
-            64,
-            spo.iter().copied(),
-            sort_keys(Order::Pos),
-            sort_keys(Order::Osp),
-        )
-        .unwrap();
+        crate::format::write_spo_segment(&dir.join("base.seg"), 64, &spo).unwrap();
         crate::dict::write_dict(st.dict(), &dir.join(crate::dict::DICT_FILE)).unwrap();
         write_manifest(
             &dir,

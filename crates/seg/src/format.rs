@@ -35,6 +35,7 @@ use wodex_resilience::{page_checksum, StoreError};
 use wodex_store::encoded::{
     decode_key_run, encode_key_run, read_varint, read_varint_u32, write_varint,
 };
+use wodex_store::index::Order;
 use wodex_store::EncodedTriple;
 
 /// Magic bytes framing a segment file at both ends (also the format
@@ -432,10 +433,31 @@ pub fn write_segment(
     w.finish()
 }
 
+/// Writes a whole segment from one sorted, deduplicated SPO triple
+/// set, deriving the POS and OSP sections by re-sorting it in memory —
+/// for sets that fit in RAM (delta compaction, tests, experiments).
+pub fn write_spo_segment(
+    path: &Path,
+    block_triples: usize,
+    spo: &[EncodedTriple],
+) -> std::io::Result<SegmentMeta> {
+    let sorted_by = |order: Order| {
+        let mut keys: Vec<[u32; 3]> = spo.iter().map(|t| order.key(t)).collect();
+        keys.sort_unstable();
+        keys
+    };
+    write_segment(
+        path,
+        block_triples,
+        spo.iter().copied(),
+        sorted_by(Order::Pos),
+        sorted_by(Order::Osp),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wodex_store::index::Order;
 
     fn keys(n: u32) -> Vec<EncodedTriple> {
         let mut v: Vec<EncodedTriple> = (0..n).map(|i| [i / 7, i % 13, i]).collect();

@@ -16,11 +16,10 @@
 //!   `dict.wdx`, rebuilt into a [`wodex_rdf::TermDict`] at open. The
 //!   dictionary resides in RAM (the HDT trade-off); triple data does not.
 //! * **Store** ([`store`]): [`store::SegmentStore`] opens a directory of
-//!   segments behind `wodex-store`'s `SegmentSource` trait — block reads
-//!   go through the PR 2 [`wodex_store::BufferPool`] and retry transient
-//!   faults under a [`wodex_resilience::RetryPolicy`]; corrupt blocks
-//!   surface as typed [`wodex_resilience::StoreError::Corrupt`], never
-//!   panics. A `TripleStore::with_base` on top gives the PR 5 planner,
+//!   segments behind `wodex-store`'s `SegmentSource` trait — every block
+//!   read is checksum-verified and retries transient faults under a
+//!   [`wodex_resilience::RetryPolicy`]; corrupt blocks surface as typed
+//!   [`wodex_resilience::StoreError::Corrupt`], never panics. A `TripleStore::with_base` on top gives the PR 5 planner,
 //!   PR 6 WCO triejoin and PR 7 shard workers the same API they already
 //!   speak.
 //! * **Loader** ([`loader`]): `wodex load` streams N-Triples through
@@ -33,7 +32,8 @@
 //!   is always safe.
 //! * **Scan engine** ([`cache`] + [`store`]): repeated scans are served
 //!   from a process-wide sharded LRU of *decoded* blocks
-//!   (`WODEX_SEGCACHE_MB`), candidate block ranges are pruned exactly
+//!   (`WODEX_SEGCACHE_MB`; the one cache tier — at `0` every scan reads
+//!   and verifies from the file), candidate block ranges are pruned exactly
 //!   by per-block zone maps (`first_key`/`last_key` + per-position
 //!   min/max), cache-miss runs decode in parallel with deterministic
 //!   reassembly, and `scan_chunks` streams results block-by-block so
@@ -70,7 +70,8 @@ pub struct SegMetrics {
     pub runs_spilled: Arc<Counter>,
     /// Compressed blocks written (loader + compactor).
     pub blocks_written: Arc<Counter>,
-    /// Compressed blocks fetched from disk (pool misses).
+    /// Compressed blocks fetched from disk (one per decoded-cache miss
+    /// or uncached read, retries included).
     pub blocks_read: Arc<Counter>,
     /// Block fetches rejected by checksum verification.
     pub checksum_failures: Arc<Counter>,

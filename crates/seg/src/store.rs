@@ -8,38 +8,36 @@
 //! on top runs the PR 5 planner, the PR 6 WCO triejoin and the PR 7
 //! shard workers against disk-resident data without any engine changes.
 //!
-//! The read path replicates the PR 2 discipline: every block fetch goes
-//! through a [`BufferPool`] (bounded residency), is checksum-verified on
-//! entry (a corrupt block is a typed [`StoreError::Corrupt`], never a
+//! The read path keeps the PR 2 discipline: every block is read from
+//! the backend with one positioned read, checksum-verified before it is
+//! decoded (a corrupt block is a typed [`StoreError::Corrupt`], never a
 //! panic), and transient faults are retried under a [`RetryPolicy`].
 //!
-//! On top of that sits the PR 10 **scan engine**: candidate block
-//! ranges are computed *exactly* from the zone-mapped directory
-//! (`first_key`/`last_key` bracketing plus per-position min/max
-//! pruning), decoded blocks are shared through the process-wide
-//! [`BlockCache`] keyed by segment generation, cache-miss batches
-//! decode in parallel with deterministic reassembly, and
+//! The **scan engine** computes candidate block ranges *exactly* from
+//! the zone-mapped directory (`first_key`/`last_key` bracketing plus
+//! per-position min/max pruning) and shares decoded blocks through the
+//! process-wide [`BlockCache`] keyed by segment generation — the only
+//! cache tier under a scan, so a miss (or a detached cache) always
+//! reads and verifies from the file. Cache-miss batches decode in
+//! parallel with deterministic reassembly, and
 //! [`SegmentSource::scan_chunks`] streams block-sized slices so
 //! consumers never materialize a full scan.
 
 use crate::cache::{BlockCache, BlockKey, CachedBlock};
 use crate::format::{self, BlockMeta, SegmentMeta};
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use wodex_rdf::TermDict;
 use wodex_resilience::{RetryPolicy, RetrySnapshot, RetryStats, StoreError};
 use wodex_store::encoded::{decode_key_run, EncodedTriple, Pattern};
 use wodex_store::index::Order;
 use wodex_store::memstore::StoreStats;
-use wodex_store::{shape_key_bounds, BufferPool, PageBackend, SegmentSource};
+use wodex_store::{shape_key_bounds, PageBackend, SegmentSource};
 
 /// Manifest file name inside a segment directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Default resident blocks per open segment.
-pub const DEFAULT_POOL_BLOCKS: usize = 64;
 
 /// One `seg` line of the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,10 +112,10 @@ pub fn write_manifest(dir: &Path, m: &Manifest) -> std::io::Result<()> {
 /// A segment file exposed as a [`PageBackend`]: page id = flat block
 /// index across the three sections (SPO blocks, then POS, then OSP).
 /// Blocks are variable-length; offsets come from the footer directory.
-/// Append is unsupported — segments are written by [`format::SegmentWriter`]
-/// and immutable afterwards.
+/// Reads are positioned (`pread`), so concurrent scans share the file
+/// handle without a lock or a seek.
 pub struct SegmentFileBackend {
-    file: Mutex<std::fs::File>,
+    file: std::fs::File,
     /// `(offset, len)` per flat block id.
     blocks: Vec<(u64, u32)>,
     reads: AtomicU64,
@@ -134,7 +132,7 @@ impl SegmentFileBackend {
             .map(|b| (b.offset, b.len))
             .collect();
         Ok(SegmentFileBackend {
-            file: Mutex::new(file),
+            file,
             blocks,
             reads: AtomicU64::new(0),
         })
@@ -149,34 +147,23 @@ impl PageBackend for SegmentFileBackend {
         })?;
         self.reads.fetch_add(1, Ordering::Relaxed);
         let mut buf = vec![0u8; len as usize];
-        let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        f.seek(SeekFrom::Start(offset))
-            .map_err(|e| StoreError::Io {
-                op: "seek",
-                detail: e.to_string(),
-            })?;
-        f.read_exact(&mut buf).map_err(|e| match e.kind() {
-            // A short read of a block we know exists is a torn read —
-            // worth retrying, like the paged store's page reads.
-            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::Interrupted => {
-                StoreError::Transient {
+        self.file
+            .read_exact_at(&mut buf, offset)
+            .map_err(|e| match e.kind() {
+                // A short read of a block we know exists is a torn read —
+                // worth retrying.
+                std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::Interrupted => {
+                    StoreError::Transient {
+                        op: "read_block",
+                        detail: e.to_string(),
+                    }
+                }
+                _ => StoreError::Io {
                     op: "read_block",
                     detail: e.to_string(),
-                }
-            }
-            _ => StoreError::Io {
-                op: "read_block",
-                detail: e.to_string(),
-            },
-        })?;
+                },
+            })?;
         Ok(buf)
-    }
-
-    fn append_page(&mut self, _data: &[u8]) -> Result<u32, StoreError> {
-        Err(StoreError::Io {
-            op: "append_page",
-            detail: "segment files are immutable".into(),
-        })
     }
 
     fn page_count(&self) -> u32 {
@@ -202,10 +189,9 @@ fn section_of(order: Order) -> usize {
 /// batch of where the budget tripped.
 const DECODE_BATCH: usize = 32;
 
-/// One open segment file: footer metadata, a block backend, a buffer
-/// pool bounding resident blocks, and a retry policy for transient
-/// faults. Generic over the backend so the chaos tests can splice a
-/// [`wodex_store::FaultBackend`] underneath.
+/// One open segment file: footer metadata, a block backend and a retry
+/// policy for transient faults. Generic over the backend so the chaos
+/// tests can splice a [`wodex_store::FaultBackend`] underneath.
 ///
 /// Every segment carries a process-unique `cache_id` taken at
 /// construction — the decoded-block cache's generation tag. Reopens
@@ -215,7 +201,6 @@ const DECODE_BATCH: usize = 32;
 pub struct Segment<B: PageBackend> {
     meta: SegmentMeta,
     backend: B,
-    pool: BufferPool,
     policy: RetryPolicy,
     retry_stats: RetryStats,
     cache_id: u64,
@@ -233,10 +218,7 @@ impl<B: PageBackend> std::fmt::Debug for Segment<B> {
 
 impl Segment<SegmentFileBackend> {
     /// Opens the segment file at `path`.
-    pub fn open(
-        path: &Path,
-        pool_blocks: usize,
-    ) -> Result<Segment<SegmentFileBackend>, StoreError> {
+    pub fn open(path: &Path) -> Result<Segment<SegmentFileBackend>, StoreError> {
         let meta = format::read_segment_meta(path).map_err(|detail| StoreError::Io {
             op: "read_segment_meta",
             detail: format!("{}: {detail}", path.display()),
@@ -245,18 +227,17 @@ impl Segment<SegmentFileBackend> {
             op: "open_segment",
             detail: format!("{}: {e}", path.display()),
         })?;
-        Ok(Segment::from_parts(meta, backend, pool_blocks))
+        Ok(Segment::from_parts(meta, backend))
     }
 }
 
 impl<B: PageBackend> Segment<B> {
     /// Assembles a segment from parts — the test seam for fault-injecting
     /// backends.
-    pub fn from_parts(meta: SegmentMeta, backend: B, pool_blocks: usize) -> Segment<B> {
+    pub fn from_parts(meta: SegmentMeta, backend: B) -> Segment<B> {
         Segment {
             meta,
             backend,
-            pool: BufferPool::new(pool_blocks),
             policy: RetryPolicy::default(),
             retry_stats: RetryStats::new(),
             cache_id: crate::cache::next_segment_id(),
@@ -301,8 +282,7 @@ impl<B: PageBackend> Segment<B> {
         self.meta.triples == 0
     }
 
-    /// Reads one block from the backend and checksum-verifies it — the
-    /// only route by which bytes enter the pool.
+    /// Reads one block from the backend and checksum-verifies it.
     fn fetch_verified(&self, id: u32) -> Result<Vec<u8>, StoreError> {
         let m = crate::metrics();
         m.blocks_read.inc();
@@ -313,11 +293,14 @@ impl<B: PageBackend> Segment<B> {
         Ok(data)
     }
 
-    fn block_bytes(&self, id: u32) -> Result<Arc<Vec<u8>>, StoreError> {
+    /// One verified block image, retrying transient faults under the
+    /// segment's policy: a torn read heals on the next attempt; real
+    /// on-disk rot keeps failing and exhausts the retries.
+    fn block_bytes(&self, id: u32) -> Result<Vec<u8>, StoreError> {
         self.policy.run(
             &self.retry_stats,
             StoreError::is_transient,
-            |_attempt| self.pool.get(id, || self.fetch_verified(id)),
+            |_attempt| self.fetch_verified(id),
             |attempts, last| StoreError::RetriesExhausted {
                 op: "read_block",
                 attempts,
@@ -329,18 +312,18 @@ impl<B: PageBackend> Segment<B> {
     /// Decodes one block of a section into keys, bypassing the decoded
     /// cache — the compactor's streaming path uses this deliberately: a
     /// compaction touches every block exactly once, and routing it
-    /// through the cache would only evict hot scan blocks. Bytes from
-    /// the pool were verified on entry, so a decode failure here means
-    /// the image is structurally corrupt despite the checksum — still a
+    /// through the cache would only evict hot scan blocks. The bytes
+    /// were verified on the way in, so a decode failure here means the
+    /// image is structurally corrupt despite the checksum — still a
     /// typed error.
     pub fn block_keys(&self, section: usize, index: usize) -> Result<Vec<[u32; 3]>, StoreError> {
         let id = self.meta.flat_id(section, index);
         let data = self.block_bytes(id)?;
-        decode_pool_block(id, &data)
+        decode_verified_block(id, &data)
     }
 
     /// Decodes the given blocks of one section, cache first. Misses are
-    /// fetched through the pool/retry discipline and decoded by the
+    /// fetched through the verify/retry discipline and decoded by the
     /// coarse parallel decoder with deterministic ordered reassembly;
     /// results line up with `indexes`.
     fn decoded_batch(
@@ -370,9 +353,8 @@ impl<B: PageBackend> Segment<B> {
                 }
             }
         }
-        // Fetch serially (the pool and the backend file handle are the
-        // serialization points anyway), decode in parallel.
-        let fetched: Vec<(usize, u32, Arc<Vec<u8>>)> = misses
+        // Fetch serially, decode in parallel.
+        let fetched: Vec<(usize, u32, Vec<u8>)> = misses
             .iter()
             .map(|&(slot, index)| {
                 let id = self.meta.flat_id(section, index);
@@ -380,7 +362,7 @@ impl<B: PageBackend> Segment<B> {
             })
             .collect::<Result<_, StoreError>>()?;
         let decoded =
-            wodex_exec::par_map_coarse(&fetched, |(_, id, data)| decode_pool_block(*id, data));
+            wodex_exec::par_map_coarse(&fetched, |(_, id, data)| decode_verified_block(*id, data));
         for (&(slot, index), keys) in misses.iter().zip(decoded) {
             let keys = Arc::new(keys?);
             cache.insert(
@@ -460,8 +442,8 @@ impl<B: PageBackend> Segment<B> {
     }
 }
 
-/// Decodes a pool-resident (already checksum-verified) block image.
-fn decode_pool_block(id: u32, data: &[u8]) -> Result<Vec<[u32; 3]>, StoreError> {
+/// Decodes an already checksum-verified block image.
+fn decode_verified_block(id: u32, data: &[u8]) -> Result<Vec<[u32; 3]>, StoreError> {
     let count = u32::from_le_bytes(
         data[8..format::BLOCK_HEADER]
             .try_into()
@@ -555,7 +537,7 @@ impl SegmentStore {
             crate::dict::read_dict(&dir.join(crate::dict::DICT_FILE)).map_err(io("read_dict"))?;
         let mut segments = Vec::with_capacity(manifest.entries.len());
         for e in &manifest.entries {
-            let seg = Segment::open(&dir.join(&e.file), DEFAULT_POOL_BLOCKS)?;
+            let seg = Segment::open(&dir.join(&e.file))?;
             if seg.len() as u64 != e.triples {
                 return Err(StoreError::Io {
                     op: "open_segment",
@@ -696,7 +678,7 @@ impl SegmentSource for SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::write_segment;
+    use crate::format::write_spo_segment;
     use wodex_rdf::TermId;
     use wodex_store::TripleStore;
 
@@ -721,21 +703,8 @@ mod tests {
         v
     }
 
-    fn sorted_by(order: Order, ts: &[EncodedTriple]) -> Vec<[u32; 3]> {
-        let mut v: Vec<[u32; 3]> = ts.iter().map(|t| order.key(t)).collect();
-        v.sort_unstable();
-        v
-    }
-
     fn write_seg(path: &Path, ts: &[EncodedTriple], block_triples: usize) -> SegmentMeta {
-        write_segment(
-            path,
-            block_triples,
-            ts.iter().copied(),
-            sorted_by(Order::Pos, ts),
-            sorted_by(Order::Osp, ts),
-        )
-        .unwrap()
+        write_spo_segment(path, block_triples, ts).unwrap()
     }
 
     fn mem_store(ts: &[EncodedTriple]) -> TripleStore {
@@ -765,7 +734,7 @@ mod tests {
         let dir = tmpdir("agree");
         let path = dir.join("a.seg");
         write_seg(&path, &ts, 16); // tiny blocks: many directory entries
-        let seg = Segment::open(&path, 8).unwrap();
+        let seg = Segment::open(&path).unwrap();
         let st = mem_store(&ts);
         assert_eq!(seg.source_len(), st.len());
         for pat in patterns() {
@@ -779,6 +748,13 @@ mod tests {
                     "sorted_by {pat:?}/{position}"
                 );
             }
+            for positions in [&[0usize, 1, 2][..], &[2, 1, 0], &[1]] {
+                assert_eq!(
+                    seg.scan_sorted_lex(pat, positions).unwrap(),
+                    st.match_pattern_sorted_lex(pat, positions),
+                    "sorted_lex {pat:?}/{positions:?}"
+                );
+            }
         }
         assert_eq!(seg.source_stats(), st.stats());
         std::fs::remove_dir_all(&dir).ok();
@@ -790,7 +766,7 @@ mod tests {
         let dir = tmpdir("candidate");
         let path = dir.join("big.seg");
         write_seg(&path, &ts, 256);
-        let seg = Segment::open(&path, 128).unwrap();
+        let seg = Segment::open(&path).unwrap();
         let pat = Pattern::any().with_s(TermId(1234));
         let got = seg.scan(pat).unwrap();
         assert_eq!(got.len(), 4);
@@ -817,7 +793,7 @@ mod tests {
         let dir = tmpdir("boundary");
         let path = dir.join("b.seg");
         let meta = write_seg(&path, &ts, 8); // tiny blocks: many boundaries
-        let mut seg = Segment::open(&path, 8).unwrap();
+        let mut seg = Segment::open(&path).unwrap();
         seg.set_block_cache(None);
         let st = mem_store(&ts);
         let mut probes: Vec<u32> = Vec::new();
@@ -862,7 +838,7 @@ mod tests {
         let one = vec![[5u32, 6, 7]];
         let path = dir.join("one.seg");
         write_seg(&path, &one, 64);
-        let seg = Segment::open(&path, 4).unwrap();
+        let seg = Segment::open(&path).unwrap();
         for (pat, want) in [
             (Pattern::any().with_s(TermId(5)), 1),
             (Pattern::any().with_s(TermId(4)), 0),
@@ -875,7 +851,7 @@ mod tests {
         let empty: Vec<EncodedTriple> = Vec::new();
         let path = dir.join("empty.seg");
         write_seg(&path, &empty, 64);
-        let seg = Segment::open(&path, 4).unwrap();
+        let seg = Segment::open(&path).unwrap();
         assert!(seg.is_empty());
         assert!(seg.scan(Pattern::any()).unwrap().is_empty());
         assert!(seg
@@ -892,7 +868,7 @@ mod tests {
         let dir = tmpdir("cachehot");
         let path = dir.join("hot.seg");
         write_seg(&path, &ts, 128);
-        let mut seg = Segment::open(&path, 4).unwrap(); // pool smaller than the scan
+        let mut seg = Segment::open(&path).unwrap();
         let cache = Arc::new(BlockCache::new(8 << 20));
         seg.set_block_cache(Some(Arc::clone(&cache)));
         let pats = [
@@ -921,7 +897,7 @@ mod tests {
         let dir = tmpdir("chunks");
         let path = dir.join("c.seg");
         write_seg(&path, &ts, 64);
-        let seg = Segment::open(&path, 16).unwrap();
+        let seg = Segment::open(&path).unwrap();
         for pat in [
             Pattern::any(),
             Pattern::any().with_s(TermId(100)),
@@ -967,7 +943,7 @@ mod tests {
         let b = meta.sections[0][0];
         bytes[b.offset as usize + format::BLOCK_HEADER + 1] ^= 0x08;
         std::fs::write(&path, &bytes).unwrap();
-        let seg = Segment::open(&path, 8).unwrap(); // footer is intact
+        let seg = Segment::open(&path).unwrap(); // footer is intact
         let err = seg.scan(Pattern::any()).unwrap_err();
         assert!(
             matches!(

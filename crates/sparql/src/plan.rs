@@ -934,7 +934,7 @@ fn plan_for(
     plan_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .put(key, Arc::clone(&plan));
+        .insert(key, Arc::clone(&plan), 1);
     plan
 }
 

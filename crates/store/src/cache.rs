@@ -1,11 +1,17 @@
-//! A generic LRU result cache.
+//! The workspace's one LRU cache.
 //!
 //! §4: "*caching and prefetching techniques may be exploited*" [16, 33, 39,
-//! 70, 76, 83, 128]. The cache here is the memoization layer exploration
-//! sessions put in front of expensive operations (query evaluation, layout,
-//! HETree subtree construction): exploration revisits state constantly
-//! (zoom out after zoom in, back-navigation), so recency is the right
-//! eviction signal.
+//! 70, 76, 83, 128]. Exploration revisits state constantly (zoom out
+//! after zoom in, back-navigation), so recency is the right eviction
+//! signal — for query plans, rendered views, prefetched tiles and
+//! decoded segment blocks alike. Every one of those caches is this type;
+//! they differ only in what a unit of *weight* means (an entry, a byte of
+//! SVG, an accounted byte of decoded keys).
+//!
+//! Eviction is stamp-and-scan: every touch stamps the entry with a
+//! logical clock and a victim is found by scanning for the oldest stamp.
+//! The maps here hold tens to a few hundred entries, so the scan is
+//! cheaper than maintaining an intrusive list on every hit.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -17,7 +23,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Entries evicted.
+    /// Entries evicted by capacity pressure.
     pub evictions: u64,
 }
 
@@ -33,22 +39,33 @@ impl CacheStats {
     }
 }
 
-/// A fixed-capacity LRU map.
+#[derive(Debug)]
+struct Entry<V> {
+    value: V,
+    weight: usize,
+    stamp: u64,
+}
+
+/// A weight-accounted LRU map: the resident weight never exceeds the
+/// capacity, and room is made by evicting the least recently used
+/// entries.
 #[derive(Debug)]
 pub struct LruCache<K: Eq + Hash + Clone, V> {
     capacity: usize,
-    map: HashMap<K, (V, u64)>,
+    map: HashMap<K, Entry<V>>,
     clock: u64,
+    weight: usize,
     stats: CacheStats,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (min 1).
+    /// Creates a cache holding at most `capacity` units of weight.
     pub fn new(capacity: usize) -> LruCache<K, V> {
         LruCache {
-            capacity: capacity.max(1),
+            capacity,
             map: HashMap::new(),
             clock: 0,
+            weight: 0,
             stats: CacheStats::default(),
         }
     }
@@ -63,9 +80,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Weight currently resident.
+    pub fn weight(&self) -> usize {
+        self.weight
     }
 
     /// Counters.
@@ -73,15 +90,20 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.stats
     }
 
-    /// Looks up a key, refreshing its recency.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    fn tick(&mut self) -> u64 {
         self.clock += 1;
-        let clock = self.clock;
+        self.clock
+    }
+
+    /// Looks up a key, refreshing its recency. Counts one hit or one
+    /// miss.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        let stamp = self.tick();
         match self.map.get_mut(key) {
-            Some((v, stamp)) => {
-                *stamp = clock;
+            Some(e) => {
+                e.stamp = stamp;
                 self.stats.hits += 1;
-                Some(&*v)
+                Some(&e.value)
             }
             None => {
                 self.stats.misses += 1;
@@ -90,128 +112,59 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Checks membership without touching recency or stats.
-    pub fn peek(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Looks up a key without touching recency or stats — for callers
-    /// that already accounted the lookup and only need the value (e.g.
-    /// a single-flight re-check after losing a race).
-    pub fn peek_value(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(v, _)| v)
+    /// that already accounted the lookup (a single-flight re-check after
+    /// losing a race) or only ask whether a speculative load is needed.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|e| &e.value)
     }
 
-    /// Inserts a value, evicting the least-recently-used entry if full.
-    pub fn put(&mut self, key: K, value: V) {
-        self.clock += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(victim) = self
+    /// Inserts `value` as the most recently used entry, then evicts
+    /// least recently used entries until the resident weight fits the
+    /// capacity. A same-key insert replaces the value and re-accounts
+    /// its weight. An entry heavier than the whole capacity is refused:
+    /// nothing is evicted for it (and a previous value under its key is
+    /// dropped rather than left stale).
+    pub fn insert(&mut self, key: K, value: V, weight: usize) {
+        self.remove(&key);
+        if weight > self.capacity {
+            return;
+        }
+        let stamp = self.tick();
+        self.weight += weight;
+        self.map.insert(
+            key,
+            Entry {
+                value,
+                weight,
+                stamp,
+            },
+        );
+        while self.weight > self.capacity {
+            // The entry just inserted carries the newest stamp and fits
+            // on its own, so it is never the victim.
+            let victim = self
                 .map
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
-            }
+                .expect("weight > 0 implies a resident entry");
+            self.remove(&victim);
+            self.stats.evictions += 1;
         }
-        self.map.insert(key, (value, self.clock));
     }
 
-    /// Returns the cached value for `key`, computing and inserting it on a
-    /// miss.
-    pub fn get_or_insert_with(&mut self, key: K, compute: impl FnOnce() -> V) -> &V {
-        if self.get(&key).is_some() {
-            // Re-borrow to satisfy the borrow checker.
-            return &self.map.get(&key).unwrap().0;
-        }
-        let v = compute();
-        self.put(key.clone(), v);
-        &self.map.get(&key).unwrap().0
+    /// Drops one entry, returning its value. Not an eviction.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let e = self.map.remove(key)?;
+        self.weight -= e.weight;
+        Some(e.value)
     }
 
     /// Empties the cache and resets counters.
     pub fn clear(&mut self) {
         self.map.clear();
+        self.weight = 0;
         self.stats = CacheStats::default();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn get_put_roundtrip() {
-        let mut c: LruCache<&str, i32> = LruCache::new(4);
-        assert!(c.get(&"a").is_none());
-        c.put("a", 1);
-        assert_eq!(c.get(&"a"), Some(&1));
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn eviction_order_is_lru() {
-        let mut c: LruCache<i32, i32> = LruCache::new(2);
-        c.put(1, 1);
-        c.put(2, 2);
-        c.get(&1); // 1 is now most recent
-        c.put(3, 3); // evicts 2
-        assert!(c.peek(&1));
-        assert!(!c.peek(&2));
-        assert!(c.peek(&3));
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn put_existing_does_not_evict() {
-        let mut c: LruCache<i32, i32> = LruCache::new(2);
-        c.put(1, 1);
-        c.put(2, 2);
-        c.put(1, 10); // update, no eviction
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 0);
-        assert_eq!(c.get(&1), Some(&10));
-    }
-
-    #[test]
-    fn get_or_insert_with_computes_once() {
-        let mut c: LruCache<i32, i32> = LruCache::new(4);
-        let mut calls = 0;
-        let v = *c.get_or_insert_with(7, || {
-            calls += 1;
-            42
-        });
-        assert_eq!(v, 42);
-        let v2 = *c.get_or_insert_with(7, || {
-            panic!("must not recompute");
-        });
-        assert_eq!(v2, 42);
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn capacity_bounded_under_churn() {
-        let mut c: LruCache<u32, u32> = LruCache::new(16);
-        for i in 0..1000 {
-            c.put(i, i);
-        }
-        assert_eq!(c.len(), 16);
-        // The survivors are the 16 most recent.
-        for i in 984..1000 {
-            assert!(c.peek(&i));
-        }
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut c: LruCache<i32, i32> = LruCache::new(4);
-        c.put(1, 1);
-        c.get(&1);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), CacheStats::default());
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! Term ids are `u32` ([`wodex_rdf::TermId`]); a raw triple is therefore
 //! [`TRIPLE_BYTES`] bytes and a serialized id at most [`MAX_VARINT_BYTES`]
-//! varint bytes. The paged store, the segment store (`wodex-seg`), and the
-//! on-disk dictionary all encode through [`write_varint`] /
+//! varint bytes. The segment store (`wodex-seg`) and the on-disk
+//! dictionary both encode through [`write_varint`] /
 //! [`read_varint`] and [`encode_key_run`] / [`decode_key_run`] so the
 //! width assumption lives in exactly one place.
 

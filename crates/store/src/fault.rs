@@ -19,7 +19,7 @@
 //! seed — the property the `WODEX_FAULT_SEED` sweep in `scripts/verify.sh`
 //! relies on.
 
-use crate::paged::PageBackend;
+use crate::segment::PageBackend;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -219,10 +219,6 @@ impl<B: PageBackend> PageBackend for FaultBackend<B> {
         Ok(data)
     }
 
-    fn append_page(&mut self, data: &[u8]) -> Result<u32, StoreError> {
-        self.inner.append_page(data)
-    }
-
     fn page_count(&self) -> u32 {
         self.inner.page_count()
     }
@@ -235,26 +231,64 @@ impl<B: PageBackend> PageBackend for FaultBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
-    use crate::paged::{decode_page, MemBackend, PagedTripleStore, TRIPLES_PER_PAGE};
+    use wodex_resilience::page_checksum;
 
-    fn loaded(config: FaultConfig, subjects: u32) -> PagedTripleStore<FaultBackend<MemBackend>> {
-        let mut triples = Vec::new();
-        for s in 0..subjects {
-            triples.push([s, 0, s]);
+    /// An in-memory "disk": checksummed pages in a `Vec`, reads counted.
+    struct MemBackend {
+        pages: Vec<Vec<u8>>,
+        reads: AtomicU64,
+    }
+
+    impl PageBackend for MemBackend {
+        fn read_page(&self, id: u32) -> Result<Vec<u8>, StoreError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.pages
+                .get(id as usize)
+                .cloned()
+                .ok_or(StoreError::NoSuchPage {
+                    page: id,
+                    pages: self.pages.len() as u32,
+                })
         }
-        PagedTripleStore::bulk_load(FaultBackend::new(MemBackend::new(), config), &triples)
-            .expect("appends are not faulted")
+
+        fn page_count(&self) -> u32 {
+            self.pages.len() as u32
+        }
+
+        fn reads(&self) -> u64 {
+            self.reads.load(Ordering::Relaxed)
+        }
+    }
+
+    /// `pages` pages of 64 payload bytes behind an 8-byte checksum.
+    fn disk(config: FaultConfig, pages: u32) -> FaultBackend<MemBackend> {
+        let pages = (0..pages)
+            .map(|p| {
+                let body: Vec<u8> = (0..64u32).map(|i| (p * 31 + i) as u8).collect();
+                let mut page = page_checksum(&body).to_le_bytes().to_vec();
+                page.extend(body);
+                page
+            })
+            .collect();
+        let inner = MemBackend {
+            pages,
+            reads: AtomicU64::new(0),
+        };
+        FaultBackend::new(inner, config)
+    }
+
+    fn intact(page: &[u8]) -> bool {
+        page[..8] == page_checksum(&page[8..]).to_le_bytes()
     }
 
     #[test]
     fn quiet_config_injects_nothing() {
-        let store = loaded(FaultConfig::quiet(1), 5000);
-        let pool = BufferPool::new(64);
-        let all = store.scan_all(&pool).unwrap();
-        assert_eq!(all.len(), 5000);
-        assert_eq!(store.backend().fault_stats().total(), 0);
-        assert_eq!(store.retry_stats().retries, 0);
+        let b = disk(FaultConfig::quiet(1), 32);
+        for id in 0..b.page_count() {
+            assert_eq!(b.read_page(id).unwrap(), b.inner().pages[id as usize]);
+        }
+        assert_eq!(b.fault_stats().total(), 0);
+        assert_eq!(b.reads(), 32);
     }
 
     #[test]
@@ -264,83 +298,76 @@ mod tests {
                 latency_spike_rate: 0.0, // keep the test fast
                 ..FaultConfig::chaos(42, 0.3)
             };
-            let b = FaultBackend::new(MemBackend::new(), cfg);
-            let mut triples = Vec::new();
-            for s in 0..(TRIPLES_PER_PAGE as u32 * 4) {
-                triples.push([s, 0, s]);
-            }
-            let store = PagedTripleStore::bulk_load(b, &triples).unwrap();
-            let pool = BufferPool::new(2);
-            for _ in 0..3 {
-                let _ = store.scan_all(&pool);
-            }
-            store.backend().fault_stats()
+            let b = disk(cfg, 4);
+            let outcomes: Vec<_> = (0..12).map(|i| b.read_page(i % 4).ok()).collect();
+            (outcomes, b.fault_stats())
         };
         let a = make();
         let b = make();
         assert_eq!(a, b, "schedule must be a pure function of the seed");
-        assert!(a.total() > 0, "a 30% chaos profile should inject something");
+        assert!(
+            a.1.total() > 0,
+            "a 30% chaos profile should inject something"
+        );
     }
 
     #[test]
-    fn transient_faults_are_healed_by_retry() {
+    fn transient_faults_fail_typed_and_a_reread_succeeds() {
         let cfg = FaultConfig {
             transient_rate: 0.3,
             ..FaultConfig::quiet(7)
         };
-        let store = loaded(cfg, TRIPLES_PER_PAGE as u32 * 8);
-        let pool = BufferPool::new(64);
-        let all = store.scan_all(&pool).expect("retries should absorb 30%");
-        assert_eq!(all.len(), TRIPLES_PER_PAGE * 8);
-        let rs = store.retry_stats();
-        assert!(rs.retries > 0, "some reads must have been retried");
-        assert!(rs.recoveries > 0);
-        assert_eq!(rs.giveups, 0);
+        let b = disk(cfg, 8);
+        for id in 0..b.page_count() {
+            // Each read is a fresh draw: some attempt comes back clean.
+            let page = (0..32)
+                .find_map(|_| match b.read_page(id) {
+                    Ok(page) => Some(page),
+                    Err(e) => {
+                        assert!(e.is_transient(), "got {e:?}");
+                        None
+                    }
+                })
+                .expect("a 30% transient rate cannot fail 32 reads in a row");
+            assert!(intact(&page));
+        }
+        assert!(b.fault_stats().transient > 0);
     }
 
     #[test]
-    fn torn_reads_are_caught_by_checksum_and_healed() {
+    fn torn_reads_fail_the_checksum_and_heal_on_reread() {
         let cfg = FaultConfig {
             torn_rate: 0.3,
             ..FaultConfig::quiet(11)
         };
-        let store = loaded(cfg, TRIPLES_PER_PAGE as u32 * 8);
-        let pool = BufferPool::new(64);
-        let all = store.scan_all(&pool).expect("torn reads heal on retry");
-        assert_eq!(all.len(), TRIPLES_PER_PAGE * 8);
-        assert!(store.backend().fault_stats().torn > 0);
-    }
-
-    #[test]
-    fn sticky_corruption_exhausts_retries_with_a_typed_error() {
-        let cfg = FaultConfig {
-            sticky_corrupt_rate: 1.0, // every page is rotten
-            ..FaultConfig::quiet(13)
-        };
-        let store = loaded(cfg, 100);
-        let pool = BufferPool::new(4);
-        let err = store.scan_all(&pool).unwrap_err();
-        assert!(
-            matches!(err, StoreError::RetriesExhausted { .. }),
-            "got {err:?}"
-        );
-        assert!(store.retry_stats().giveups > 0);
-    }
-
-    #[test]
-    fn torn_bytes_really_fail_the_checksum() {
+        let b = disk(cfg, 8);
+        for id in 0..b.page_count() {
+            let reads: Vec<_> = (0..32).map(|_| b.read_page(id).unwrap()).collect();
+            assert!(reads.iter().any(|p| intact(p)), "page {id} never healed");
+        }
+        assert!(b.fault_stats().torn > 0);
+        // At rate 1.0 every read is torn, and only the checksum can tell.
         let cfg = FaultConfig {
             torn_rate: 1.0,
             ..FaultConfig::quiet(17)
         };
-        let backend = FaultBackend::new(MemBackend::new(), cfg);
-        let mut triples = Vec::new();
-        for s in 0..50 {
-            triples.push([s, 0, s]);
+        assert!(!intact(&disk(cfg, 1).read_page(0).unwrap()));
+    }
+
+    #[test]
+    fn sticky_corruption_never_heals() {
+        let cfg = FaultConfig {
+            sticky_corrupt_rate: 1.0, // every page is rotten
+            ..FaultConfig::quiet(13)
+        };
+        let b = disk(cfg, 4);
+        for id in 0..b.page_count() {
+            assert!(b.is_sticky_corrupt(id));
+            let first = b.read_page(id).unwrap();
+            assert!(!intact(&first));
+            assert_eq!(b.read_page(id).unwrap(), first, "rot is stable");
         }
-        let store = PagedTripleStore::bulk_load(backend, &triples).unwrap();
-        let raw = store.backend().read_page(0).unwrap();
-        assert!(decode_page(&raw).is_err(), "every read is torn at rate 1.0");
+        assert_eq!(b.fault_stats().sticky, 8);
     }
 
     #[test]
@@ -350,9 +377,10 @@ mod tests {
             latency_spike: Duration::from_micros(1),
             ..FaultConfig::quiet(19)
         };
-        let store = loaded(cfg, 200);
-        let pool = BufferPool::new(4);
-        assert_eq!(store.scan_all(&pool).unwrap().len(), 200);
-        assert!(store.backend().fault_stats().latency_spikes > 0);
+        let b = disk(cfg, 4);
+        for id in 0..b.page_count() {
+            assert!(intact(&b.read_page(id).unwrap()));
+        }
+        assert_eq!(b.fault_stats().latency_spikes, 4);
     }
 }

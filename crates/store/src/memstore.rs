@@ -54,8 +54,7 @@ fn next_revision() -> u64 {
 /// An indexed, dictionary-encoded triple store.
 ///
 /// Optionally layered over an immutable [`SegmentSource`] *base region*
-/// (a persistent segment store, the paged store, or another in-memory
-/// store): reads union the base with the local sorted indexes and tail,
+/// (a persistent segment store or another in-memory store): reads union the base with the local sorted indexes and tail,
 /// deletes of base triples tombstone them, and inserts de-duplicate
 /// against the base — the classic LSM arrangement with the base as the
 /// bottom level. Base reads are fallible at the [`SegmentSource`] layer

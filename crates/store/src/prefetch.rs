@@ -125,7 +125,7 @@ impl<V: Clone> TilePrefetcher<V> {
                 self.stats.demand_misses += 1;
                 m.demand_misses.inc();
                 let v = fetch(tile)?;
-                self.cache.put(tile, v.clone());
+                self.cache.insert(tile, v.clone(), 1);
                 v
             }
         };
@@ -134,9 +134,9 @@ impl<V: Clone> TilePrefetcher<V> {
             self.history.remove(0);
         }
         for t in self.predict() {
-            if !self.cache.peek(&t) {
+            if self.cache.peek(&t).is_none() {
                 if let Ok(v) = fetch(t) {
-                    self.cache.put(t, v);
+                    self.cache.insert(t, v, 1);
                     self.stats.prefetched += 1;
                     m.prefetched.inc();
                 }

@@ -1,6 +1,7 @@
 //! The [`SegmentSource`] abstraction: one scan interface over every
-//! *immutable, sorted* triple region — the in-memory store, the paged
-//! disk store, and `wodex-seg`'s persistent compressed segments.
+//! *immutable, sorted* triple region — the in-memory store and
+//! `wodex-seg`'s persistent compressed segments — and [`PageBackend`],
+//! the block-reader seam underneath a disk-resident source.
 //!
 //! The survey's §4 asks for systems "integrated with disk structures,
 //! retrieving data dynamically during runtime". The query layer above
@@ -28,12 +29,26 @@
 //! errors, never panics. The infallible `TripleStore` facade above
 //! documents its fail-stop translation.
 
-use crate::buffer::BufferPool;
 use crate::encoded::{EncodedTriple, Pattern};
 use crate::index::Order;
 use crate::memstore::{StoreStats, TripleStore};
-use crate::paged::{PageBackend, PagedTripleStore, TRIPLES_PER_PAGE};
 use wodex_resilience::StoreError;
+
+/// A flat array of immutable blocks ("pages") with read accounting —
+/// what a disk-resident [`SegmentSource`] reads its bytes from, and the
+/// seam where [`crate::fault::FaultBackend`] splices faults in.
+///
+/// Reads are fallible — a backend may sit on a real disk (or a
+/// fault-injecting wrapper), so "page cannot be produced" is a value,
+/// not a panic.
+pub trait PageBackend {
+    /// Reads page `id`.
+    fn read_page(&self, id: u32) -> Result<Vec<u8>, StoreError>;
+    /// Number of pages.
+    fn page_count(&self) -> u32;
+    /// Number of physical reads performed so far.
+    fn reads(&self) -> u64;
+}
 
 /// The permutation index a pattern's bound shape scans — the single
 /// source of truth shared by `TripleStore::index_run` and every
@@ -214,101 +229,9 @@ impl SegmentSource for TripleStore {
     }
 }
 
-/// The PR 2 paged SPO store as a [`SegmentSource`]: subject-bound shapes
-/// use the page directory, everything else is a full scan reordered to
-/// the shape's key order. It exists to put the fixed-page path behind
-/// the same interface as the compressed segments — tests and the
-/// chaos sweep drive both through one API.
-pub struct PagedSegmentSource<B: PageBackend> {
-    store: PagedTripleStore<B>,
-    pool: BufferPool,
-    stats: StoreStats,
-}
-
-impl<B: PageBackend> std::fmt::Debug for PagedSegmentSource<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PagedSegmentSource")
-            .field("len", &self.store.len())
-            .field("pages", &self.store.page_count())
-            .finish()
-    }
-}
-
-impl<B: PageBackend> PagedSegmentSource<B> {
-    /// Bulk-loads sorted, deduplicated SPO triples into `backend` and
-    /// wraps the result with a pool of `pool_pages` resident pages.
-    /// Planner statistics are computed once from the input.
-    pub fn bulk_load(
-        backend: B,
-        triples: &[EncodedTriple],
-        pool_pages: usize,
-    ) -> Result<PagedSegmentSource<B>, StoreError> {
-        let mut distinct = [0usize; 3];
-        for (i, order) in [Order::Spo, Order::Pos, Order::Osp].into_iter().enumerate() {
-            let mut leads: Vec<u32> = triples.iter().map(|t| order.key(t)[0]).collect();
-            leads.sort_unstable();
-            leads.dedup();
-            distinct[i] = leads.len();
-        }
-        let stats = StoreStats {
-            indexed_triples: triples.len(),
-            distinct,
-        };
-        Ok(PagedSegmentSource {
-            store: PagedTripleStore::bulk_load(backend, triples)?,
-            pool: BufferPool::new(pool_pages),
-            stats,
-        })
-    }
-
-    /// The underlying paged store (for I/O accounting in tests).
-    pub fn paged(&self) -> &PagedTripleStore<B> {
-        &self.store
-    }
-}
-
-impl<B: PageBackend + Send + Sync> SegmentSource for PagedSegmentSource<B> {
-    fn source_len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn scan(&self, pat: Pattern) -> Result<Vec<EncodedTriple>, StoreError> {
-        let (order, lo, hi) = shape_key_bounds(pat);
-        let mut out = if let Some(s) = pat.s {
-            self.store.match_subject(&self.pool, s.0)?
-        } else {
-            self.store.scan_all(&self.pool)?
-        };
-        out.retain(|t| pat.matches(t));
-        if order != Order::Spo {
-            out.sort_unstable_by_key(|t| order.key(t));
-        }
-        debug_assert!(out.iter().all(|t| {
-            let k = order.key(t);
-            k >= lo && k <= hi
-        }));
-        Ok(out)
-    }
-
-    fn estimate(&self, pat: Pattern) -> usize {
-        match pat.s {
-            Some(s) => {
-                let pages = self.store.pages_for_subject_range(s.0, s.0).len();
-                (pages * TRIPLES_PER_PAGE).min(self.store.len())
-            }
-            None => self.store.len(),
-        }
-    }
-
-    fn source_stats(&self) -> StoreStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paged::MemBackend;
     use wodex_rdf::TermId;
 
     fn triples() -> Vec<EncodedTriple> {
@@ -359,37 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn paged_source_agrees_with_memstore_for_every_shape() {
-        let ts = triples();
-        let st = mem_store(&ts);
-        let paged = PagedSegmentSource::bulk_load(MemBackend::new(), &ts, 8).unwrap();
-        assert_eq!(paged.source_len(), st.len());
-        for pat in patterns() {
-            assert_eq!(paged.scan(pat).unwrap(), st.scan(pat).unwrap(), "{pat:?}");
-            assert_eq!(
-                paged.count(pat).unwrap(),
-                st.count_pattern(pat),
-                "count {pat:?}"
-            );
-            assert!(paged.estimate(pat) >= paged.count(pat).unwrap());
-            for position in 0..3 {
-                assert_eq!(
-                    paged.scan_sorted_by(pat, position).unwrap(),
-                    st.match_pattern_sorted_by(pat, position),
-                    "sorted_by {pat:?}/{position}"
-                );
-            }
-            for positions in [&[0usize, 1, 2][..], &[2, 1, 0], &[1]] {
-                assert_eq!(
-                    paged.scan_sorted_lex(pat, positions).unwrap(),
-                    st.match_pattern_sorted_lex(pat, positions),
-                    "sorted_lex {pat:?}/{positions:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn key_bounds_bracket_exactly_the_matches() {
         let ts = triples();
         for pat in patterns() {
@@ -399,13 +291,5 @@ mod tests {
                 assert_eq!(pat.matches(t), k >= lo && k <= hi, "{pat:?} {t:?}");
             }
         }
-    }
-
-    #[test]
-    fn stats_from_metadata_match_memstore() {
-        let ts = triples();
-        let st = mem_store(&ts);
-        let paged = PagedSegmentSource::bulk_load(MemBackend::new(), &ts, 8).unwrap();
-        assert_eq!(paged.source_stats(), st.stats());
     }
 }

@@ -10,22 +10,28 @@
 //!    survived the fault.
 //! 2. **No silent corruption.** A scan that returns `Ok` under injected
 //!    torn reads is byte-identical to the fault-free baseline — the
-//!    per-page checksums catch every tear before it decodes.
+//!    per-block checksums catch every tear before it decodes.
 //! 3. **Fault rate 0 is the identity.** A `FaultBackend` injecting
 //!    nothing is bit-identical to the bare backend, at every thread
 //!    count — the same determinism contract `parallel_equivalence.rs`
 //!    checks for the fault-free engine.
+//!
+//!    Every chaos segment runs with the decoded-block cache detached, so
+//!    each scan really re-reads the faulting backend.
 //! 4. **Budgets degrade, they don't break.** Over-budget queries return
 //!    flagged partial results whose rows are a subset of the full
 //!    answer.
 
+use std::path::PathBuf;
+use std::sync::Arc;
 use wodex::exec::with_thread_override;
+use wodex::rdf::TermId;
 use wodex::resilience::{Budget, DegradeReason, StoreError};
+use wodex::seg::format::write_spo_segment;
+use wodex::seg::{BlockCache, Segment, SegmentFileBackend, SegmentMeta};
 use wodex::sparql;
-use wodex::store::buffer::BufferPool;
 use wodex::store::fault::{FaultBackend, FaultConfig};
-use wodex::store::paged::{MemBackend, PagedTripleStore};
-use wodex::store::TripleStore;
+use wodex::store::{Pattern, TripleStore};
 use wodex::synth::dbpedia::{self, DbpediaConfig};
 use wodex::synth::rng::{Rng, SeedableRng, StdRng};
 
@@ -39,20 +45,58 @@ fn base_seed() -> u64 {
 
 const FAULT_RATES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
-/// A subject-sorted synthetic dataset (~44 pages at 8 triples/subject).
+/// A subject-sorted synthetic dataset, 8 triples per subject.
 fn triples(n: u32) -> Vec<[u32; 3]> {
     let mut v: Vec<[u32; 3]> = (0..n).map(|i| [i / 8, i % 5, i]).collect();
     v.sort_unstable();
     v
 }
 
-fn faulty_store(
-    data: &[[u32; 3]],
-    seed: u64,
-    rate: f64,
-) -> PagedTripleStore<FaultBackend<MemBackend>> {
-    let backend = FaultBackend::new(MemBackend::new(), FaultConfig::chaos(seed, rate));
-    PagedTripleStore::bulk_load(backend, data).expect("bulk_load writes are fault-free")
+/// Triples per block: small, so a sweep touches many independent
+/// checksums.
+const BLOCK_TRIPLES: usize = 256;
+
+/// `triples(n)` written fault-free as one segment file in a fresh
+/// temporary directory, removed on drop.
+struct ChaosSegment {
+    dir: PathBuf,
+    meta: SegmentMeta,
+}
+
+impl ChaosSegment {
+    fn write(name: &str, data: &[[u32; 3]]) -> ChaosSegment {
+        let dir = std::env::temp_dir().join(format!("wodex_chaos_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let meta = write_spo_segment(&dir.join("chaos.seg"), BLOCK_TRIPLES, data)
+            .expect("fault-free segment write");
+        ChaosSegment { dir, meta }
+    }
+
+    fn backend(&self) -> SegmentFileBackend {
+        SegmentFileBackend::open(&self.dir.join("chaos.seg"), &self.meta).expect("open segment")
+    }
+
+    /// The segment over the bare file backend.
+    fn plain(&self) -> Segment<SegmentFileBackend> {
+        let mut seg = Segment::from_parts(self.meta.clone(), self.backend());
+        seg.set_block_cache(None);
+        seg
+    }
+
+    /// The segment over a fault-injecting backend. With the decoded
+    /// cache detached every scan fetches its blocks from that backend.
+    fn faulty(&self, config: FaultConfig) -> Segment<FaultBackend<SegmentFileBackend>> {
+        let backend = FaultBackend::new(self.backend(), config);
+        let mut seg = Segment::from_parts(self.meta.clone(), backend);
+        seg.set_block_cache(None);
+        seg
+    }
+}
+
+impl Drop for ChaosSegment {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
 }
 
 /// Allowed failure under transient/torn chaos: only retry exhaustion —
@@ -64,40 +108,49 @@ fn assert_typed(e: &StoreError) {
     );
 }
 
+/// A `Segment` over a `FaultBackend` must (1) never panic, (2) never
+/// silently decode a torn block — every `Ok` scan is key-identical to
+/// the fault-free baseline, (3) inject and retry nothing at fault rate
+/// 0, and (4) surface unhealable faults as typed `RetriesExhausted`
+/// errors only.
 #[test]
-fn disk_scans_survive_chaos_or_fail_typed() {
+fn segment_scans_survive_chaos_or_fail_typed() {
     let data = triples(20_000);
-    let plain =
-        PagedTripleStore::bulk_load(MemBackend::new(), &data).expect("fault-free bulk_load");
-    let pool = BufferPool::new(8);
-    let baseline_all = plain.scan_all(&pool).expect("fault-free scan");
-    let baseline_window = plain
-        .scan_subject_range(&pool, 100, 160)
-        .expect("fault-free scan");
+    let on_disk = ChaosSegment::write("sweep", &data);
+
+    let baseline = on_disk.plain();
+    let baseline_all = baseline.scan_keys(Pattern::any()).expect("fault-free scan");
+    assert_eq!(baseline_all, data);
+    let probe_s = Pattern::any().with_s(TermId(123));
+    let probe_p = Pattern::any().with_p(TermId(3));
+    let baseline_s = baseline.scan_keys(probe_s).expect("fault-free scan");
+    let baseline_p = baseline.scan_keys(probe_p).expect("fault-free scan");
+    assert!(!baseline_s.is_empty() && !baseline_p.is_empty());
 
     for case in 0..3u64 {
         let seed = base_seed().wrapping_add(case);
         for &rate in &FAULT_RATES {
-            let store = faulty_store(&data, seed, rate);
-            // A tiny pool forces real (injected) backend reads on every
-            // scan instead of serving from cache.
-            let pool = BufferPool::new(4);
-            match store.scan_all(&pool) {
+            let seg = on_disk.faulty(FaultConfig::chaos(seed, rate));
+            match seg.scan_keys(Pattern::any()) {
                 Ok(v) => assert_eq!(v, baseline_all, "silent corruption at rate {rate}"),
                 Err(e) => {
-                    assert!(rate > 0.0, "fault-free scan must not fail");
+                    assert!(rate > 0.0, "fault-free segment scan must not fail");
                     assert_typed(&e);
                 }
             }
-            match store.scan_subject_range(&pool, 100, 160) {
-                Ok(v) => assert_eq!(v, baseline_window),
+            match seg.scan_keys(probe_s) {
+                Ok(v) => assert_eq!(v, baseline_s),
+                Err(e) => assert_typed(&e),
+            }
+            match seg.scan_keys(probe_p) {
+                Ok(v) => assert_eq!(v, baseline_p),
                 Err(e) => assert_typed(&e),
             }
             let mut rng = StdRng::seed_from_u64(seed ^ 0x51CA);
             for _ in 0..5 {
                 let s = rng.random_range(0u32..20_000 / 8);
-                match store.match_subject(&pool, s) {
-                    Ok(v) => assert!(v.iter().all(|t| t[0] == s)),
+                match seg.scan_keys(Pattern::any().with_s(TermId(s))) {
+                    Ok(v) => assert!(v.len() == 8 && v.iter().all(|t| t[0] == s)),
                     Err(e) => assert_typed(&e),
                 }
             }
@@ -105,13 +158,13 @@ fn disk_scans_survive_chaos_or_fail_typed() {
                 // The injector really fired; the retry loop healed (or
                 // typed-failed) every one of those faults above.
                 assert!(
-                    store.backend().fault_stats().total() > 0,
+                    seg.backend().fault_stats().total() > 0,
                     "rate {rate} injected nothing"
                 );
             }
             if rate == 0.0 {
-                assert_eq!(store.backend().fault_stats().total(), 0);
-                assert_eq!(store.retry_stats().retries, 0);
+                assert_eq!(seg.backend().fault_stats().total(), 0);
+                assert_eq!(seg.retry_stats().retries, 0);
             }
         }
     }
@@ -119,45 +172,54 @@ fn disk_scans_survive_chaos_or_fail_typed() {
 
 #[test]
 fn fault_rate_zero_is_bit_identical_at_every_thread_count() {
-    let data = triples(8_000);
-    let plain =
-        PagedTripleStore::bulk_load(MemBackend::new(), &data).expect("fault-free bulk_load");
-    let quiet = faulty_store(&data, base_seed(), 0.0);
-    for threads in [1, 4] {
-        let (a, b) = with_thread_override(threads, || {
-            let pa = BufferPool::new(16);
-            let pb = BufferPool::new(16);
-            (
-                plain.scan_all(&pa).expect("fault-free"),
-                quiet.scan_all(&pb).expect("rate 0 injects nothing"),
-            )
-        });
-        assert_eq!(a, b, "idle FaultBackend changed bytes at {threads} threads");
+    let on_disk = ChaosSegment::write("quiet", &triples(8_000));
+    let mut plain = on_disk.plain();
+    let mut quiet = on_disk.faulty(FaultConfig::quiet(base_seed()));
+    for threads in [1, 2, 4, 8] {
+        // A fresh, cold cache each round: the scans below still read
+        // every block from their backend, and decode their misses on
+        // the parallel path the thread count steers.
+        plain.set_block_cache(Some(Arc::new(BlockCache::new(8 << 20))));
+        quiet.set_block_cache(Some(Arc::new(BlockCache::new(8 << 20))));
+        for pat in [Pattern::any(), Pattern::any().with_p(TermId(3))] {
+            let (a, b) = with_thread_override(threads, || {
+                (
+                    plain.scan_keys(pat).expect("fault-free"),
+                    quiet.scan_keys(pat).expect("rate 0 injects nothing"),
+                )
+            });
+            assert!(!a.is_empty());
+            assert_eq!(a, b, "idle FaultBackend changed bytes at {threads} threads");
+        }
     }
+    assert_eq!(quiet.backend().fault_stats().total(), 0);
 }
 
 #[test]
 fn sticky_corruption_exhausts_retries_with_typed_errors() {
-    let data = triples(20_000);
-    let config = FaultConfig {
+    let on_disk = ChaosSegment::write("sticky", &triples(20_000));
+    let seg = on_disk.faulty(FaultConfig {
         sticky_corrupt_rate: 0.3,
         ..FaultConfig::quiet(base_seed())
-    };
-    let backend = FaultBackend::new(MemBackend::new(), config);
-    let store = PagedTripleStore::bulk_load(backend, &data).expect("writes are fault-free");
-    let pool = BufferPool::new(4);
-    // 30% of pages are permanently torn: the full scan must hit one,
+    });
+    // 30% of blocks are permanently torn: the full scan must hit one,
     // exhaust its retries, and report it — not panic, not return bytes.
-    let err = store.scan_all(&pool).expect_err("sticky pages cannot heal");
+    let err = seg
+        .scan_keys(Pattern::any())
+        .expect_err("sticky blocks cannot heal");
     assert_typed(&err);
-    assert!(store.retry_stats().giveups >= 1);
-    // Pages the injector left alone still read fine. Pick a subject
-    // whose 8 triples sit strictly inside one healthy page.
-    let healthy = (0..store.page_count()).find(|&p| !store.backend().is_sticky_corrupt(p));
-    if let Some(p) = healthy {
-        let tpp = wodex::store::paged::TRIPLES_PER_PAGE as u32;
-        let s = (p * tpp + 16) / 8; // triples [s*8, s*8+8) ⊂ page p
-        assert!(store.match_subject(&pool, s).is_ok());
+    assert!(seg.retry_stats().giveups >= 1);
+    // Blocks the injector left alone still read fine: a subject whose 8
+    // triples sit strictly inside one healthy SPO block (flat block ids
+    // start with the SPO section).
+    let spo_blocks = on_disk.meta.sections[0].len() as u32;
+    let healthy = (0..spo_blocks).find(|&b| !seg.backend().is_sticky_corrupt(b));
+    if let Some(b) = healthy {
+        let s = (b * BLOCK_TRIPLES as u32 + 16) / 8; // triples [s*8, s*8+8) ⊂ block b
+        let got = seg
+            .scan_keys(Pattern::any().with_s(TermId(s)))
+            .expect("healthy block");
+        assert_eq!(got.len(), 8);
     }
 }
 
@@ -232,83 +294,6 @@ fn budgeted_queries_degrade_soundly_never_panic() {
         degraded += budget_case(&store, &full_rows, &mut rng);
     }
     assert!(degraded >= 5, "sweep never exercised degradation");
-}
-
-/// PR 8: the same fault-tolerance contract for the compressed segment
-/// read path. A `Segment` over a `FaultBackend` must (1) never panic,
-/// (2) never silently decode a torn block — every `Ok` scan is
-/// key-identical to the fault-free baseline, (3) be bit-identical to
-/// the bare backend at fault rate 0, and (4) surface unhealable faults
-/// as typed `RetriesExhausted` errors only.
-#[test]
-fn segment_scans_survive_chaos_or_fail_typed() {
-    use wodex::rdf::TermId;
-    use wodex::seg::format::write_segment;
-    use wodex::seg::{Segment, SegmentFileBackend};
-    use wodex::store::index::Order;
-    use wodex::store::Pattern;
-
-    let data = triples(20_000);
-    let mut pos: Vec<[u32; 3]> = data.iter().map(|t| [t[1], t[2], t[0]]).collect();
-    let mut osp: Vec<[u32; 3]> = data.iter().map(|t| [t[2], t[0], t[1]]).collect();
-    pos.sort_unstable();
-    osp.sort_unstable();
-
-    let dir = std::env::temp_dir().join(format!("wodex_chaos_seg_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("chaos.seg");
-    // Small blocks so the sweep touches many independent checksums.
-    let meta = write_segment(
-        &path,
-        256,
-        data.iter().map(|k| Order::Spo.unkey(k)),
-        pos.iter().copied(),
-        osp.iter().copied(),
-    )
-    .expect("fault-free segment write");
-
-    let open_faulty = |seed: u64, rate: f64| {
-        let backend = SegmentFileBackend::open(&path, &meta).expect("open segment");
-        let backend = FaultBackend::new(backend, FaultConfig::chaos(seed, rate));
-        // A tiny pool forces real (injected) block fetches per scan.
-        Segment::from_parts(meta.clone(), backend, 2)
-    };
-
-    let baseline = open_faulty(0, 0.0);
-    let baseline_all = baseline.scan_keys(Pattern::any()).expect("fault-free scan");
-    assert_eq!(baseline_all.len(), data.len());
-    let probe_s = Pattern::any().with_s(TermId(123));
-    let probe_p = Pattern::any().with_p(TermId(3));
-    let baseline_s = baseline.scan_keys(probe_s).expect("fault-free scan");
-    let baseline_p = baseline.scan_keys(probe_p).expect("fault-free scan");
-    assert!(!baseline_s.is_empty() && !baseline_p.is_empty());
-
-    for case in 0..3u64 {
-        let seed = base_seed().wrapping_add(case);
-        for &rate in &FAULT_RATES {
-            let seg = open_faulty(seed, rate);
-            match seg.scan_keys(Pattern::any()) {
-                Ok(v) => assert_eq!(v, baseline_all, "silent corruption at rate {rate}"),
-                Err(e) => {
-                    assert!(rate > 0.0, "fault-free segment scan must not fail");
-                    assert_typed(&e);
-                }
-            }
-            match seg.scan_keys(probe_s) {
-                Ok(v) => assert_eq!(v, baseline_s),
-                Err(e) => assert_typed(&e),
-            }
-            match seg.scan_keys(probe_p) {
-                Ok(v) => assert_eq!(v, baseline_p),
-                Err(e) => assert_typed(&e),
-            }
-            if rate == 0.0 {
-                assert_eq!(seg.backend().fault_stats().total(), 0);
-                assert_eq!(seg.retry_stats().retries, 0);
-            }
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// PR 9 extension: chaos at the live-data layer — injected faults

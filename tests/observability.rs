@@ -46,49 +46,9 @@ fn explorer(entities: usize) -> Explorer {
     }))
 }
 
-#[test]
-fn pool_lookups_conserve_under_concurrent_scans() {
-    let _guard = lock();
-    let ex = explorer(200);
-    let dv = ex.disk_view().expect("disk view");
-    let before = (
-        counter("wodex_store_pool_lookups_total"),
-        counter("wodex_store_pool_hits_total"),
-        counter("wodex_store_pool_misses_total"),
-    );
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let dv = &dv;
-            scope.spawn(move || {
-                for round in 0..4 {
-                    let all = dv.scan_all().expect("scan");
-                    assert!(!all.is_empty());
-                    // Point reads mixed in so hits and misses interleave.
-                    let subject = all[(t * 31 + round * 7) % all.len()][0];
-                    let per = dv.match_subject(subject).expect("match");
-                    assert!(!per.is_empty());
-                }
-            });
-        }
-    });
-    let lookups = counter("wodex_store_pool_lookups_total") - before.0;
-    let hits = counter("wodex_store_pool_hits_total") - before.1;
-    let misses = counter("wodex_store_pool_misses_total") - before.2;
-    assert!(lookups > 0, "the scans must have gone through the pool");
-    assert!(misses > 0, "a cold pool must miss at least once");
-    assert_eq!(
-        hits + misses,
-        lookups,
-        "every pool lookup must resolve to exactly one hit or miss"
-    );
-    // The per-instance stats tell the same story for this pool alone.
-    let s = dv.pool_stats();
-    assert!(s.hits + s.misses > 0);
-}
-
-/// PR 10: the decoded-block cache obeys the same conservation law as
-/// the buffer pool — every lookup resolves to exactly one hit or one
-/// miss, even with 8 threads racing cold misses on the same blocks.
+/// The decoded-block cache conserves its lookups — every one resolves
+/// to exactly one hit or one miss, even with 8 threads racing cold
+/// misses on the same blocks.
 #[test]
 fn segcache_lookups_conserve_under_concurrent_scans() {
     use wodex::rdf::ntriples;
@@ -167,6 +127,34 @@ fn segcache_lookups_conserve_under_concurrent_scans() {
         "per-instance conservation"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `wodex_segcache_bytes` reports bytes held by caches that exist:
+/// dropping a filled cache takes its bytes off the gauge.
+#[test]
+fn segcache_bytes_gauge_returns_when_a_cache_is_dropped() {
+    use wodex::seg::{BlockCache, BlockKey};
+
+    let _guard = lock();
+    let gauge = || {
+        let values = wodex::obs::global().gauge_values();
+        values.get("wodex_segcache_bytes").copied().unwrap_or(0)
+    };
+    let before = gauge();
+    let cache = BlockCache::new(1 << 20);
+    for block in 0..64 {
+        let key = BlockKey {
+            segment: 1,
+            section: 0,
+            block,
+        };
+        cache.insert(key, std::sync::Arc::new(vec![[block; 3]; 100]));
+    }
+    let held = cache.resident_bytes() as i64;
+    assert!(held > 0);
+    assert_eq!(gauge() - before, held);
+    drop(cache);
+    assert_eq!(gauge(), before, "a dropped cache still counted");
 }
 
 /// The view cache obeys the same law — every lookup is one hit or one

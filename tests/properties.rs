@@ -13,7 +13,7 @@ use wodex::hetree::{HETree, Variant};
 use wodex::rdf::term::Literal;
 use wodex::rdf::{Graph, Term, TermDict, Triple};
 use wodex::store::cracking::{CrackerColumn, SortedColumn};
-use wodex::store::{Pattern, TripleStore};
+use wodex::store::{LruCache, Pattern, TripleStore};
 use wodex::synth::rng::{Rng, RngCore, StdRng};
 
 /// Number of generated cases per property.
@@ -319,6 +319,62 @@ fn insert_delete_sequences_keep_store_consistent() {
                 .unwrap_or(0);
             let want = model.iter().filter(|&&(_, mp, _)| mp == p).count();
             assert_eq!(pat, want);
+        }
+    });
+}
+
+/// The workspace's one LRU against a naive model: a `Vec` ordered from
+/// least to most recently used, scanned linearly.
+#[test]
+fn lru_cache_agrees_with_a_naive_recency_list() {
+    for_each_case(15, |rng| {
+        let capacity = rng.random_range(1..40usize);
+        let mut cache: LruCache<u32, u64> = LruCache::new(capacity);
+        let mut model: Vec<(u32, u64, usize)> = Vec::new(); // (key, value, weight)
+        let (mut lookups, mut evictions) = (0u64, 0u64);
+        for step in 0..rng.random_range(1..200u64) {
+            let key = rng.random_range(0..12u32);
+            let at = model.iter().position(|e| e.0 == key);
+            match rng.random_range(0..4u32) {
+                0 => {
+                    lookups += 1;
+                    let want = at.map(|i| {
+                        let e = model.remove(i);
+                        model.push(e); // now the most recently used
+                        e.1
+                    });
+                    assert_eq!(cache.get(&key).copied(), want);
+                }
+                1 => {
+                    assert_eq!(cache.remove(&key), at.map(|i| model.remove(i).1));
+                }
+                _ => {
+                    // One weight in eight is heavier than the whole cache.
+                    let weight = rng.random_range(0..capacity + capacity / 7 + 2);
+                    if let Some(i) = at {
+                        model.remove(i); // a same-key insert re-accounts
+                    }
+                    if weight <= capacity {
+                        model.push((key, step, weight));
+                        while model.iter().map(|e| e.2).sum::<usize>() > capacity {
+                            model.remove(0); // the least recently used
+                            evictions += 1;
+                        }
+                    } // else refused: nothing else leaves
+                    cache.insert(key, step, weight);
+                }
+            }
+            let resident: usize = model.iter().map(|e| e.2).sum();
+            assert!(resident <= capacity);
+            assert_eq!(cache.weight(), resident);
+            assert_eq!(cache.len(), model.len());
+            for k in 0..12u32 {
+                let want = model.iter().find(|e| e.0 == k).map(|e| &e.1);
+                assert_eq!(cache.peek(&k), want, "key {k} after step {step}");
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.hits + stats.misses, lookups);
+            assert_eq!(stats.evictions, evictions);
         }
     });
 }

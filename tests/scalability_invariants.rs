@@ -2,13 +2,16 @@
 //! memory bounded by display/budget quantities, work bounded by what the
 //! user explores.
 
+use std::sync::Arc;
 use wodex::approx::binning::{BinningStrategy, Histogram};
 use wodex::graph::adjacency::Adjacency;
 use wodex::graph::hierarchy::{AbstractionHierarchy, HierarchyView};
 use wodex::graph::spatial::{QuadTree, Rect};
 use wodex::hetree::{HETree, Variant};
-use wodex::store::buffer::BufferPool;
-use wodex::store::paged::{MemBackend, PagedTripleStore, TRIPLES_PER_PAGE};
+use wodex::rdf::TermId;
+use wodex::seg::format::write_spo_segment;
+use wodex::seg::{BlockCache, Segment, SegmentFileBackend};
+use wodex::store::{PageBackend, Pattern, SegmentSource};
 use wodex::synth::netgen;
 use wodex::synth::values::{column, Shape};
 
@@ -22,38 +25,65 @@ fn histogram_size_is_display_bounded() {
     }
 }
 
+/// `n` triples, ten per subject, written as one segment of 512-triple
+/// blocks behind a private decoded-block cache of `cache_bytes`.
+fn segment(n: u32, cache_bytes: usize) -> (Segment<SegmentFileBackend>, Arc<BlockCache>) {
+    let spo: Vec<[u32; 3]> = (0..n).map(|i| [i / 10, 0, i]).collect();
+    let dir = std::env::temp_dir().join(format!("wodex_scal_{n}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("s.seg");
+    write_spo_segment(&path, 512, &spo).expect("segment write");
+    let mut seg = Segment::open(&path).expect("segment open");
+    // The open handle outlives the directory entry.
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = Arc::new(BlockCache::new(cache_bytes));
+    seg.set_block_cache(Some(Arc::clone(&cache)));
+    (seg, cache)
+}
+
+/// All triples of subjects `lo..=hi`, one subject-bound scan each.
+fn scan_subjects(seg: &Segment<SegmentFileBackend>, lo: u32, hi: u32) -> usize {
+    (lo..=hi)
+        .map(|s| {
+            let pat = Pattern::any().with_s(TermId(s));
+            seg.scan_keys(pat).expect("fault-free scan").len()
+        })
+        .sum()
+}
+
 #[test]
-fn paged_store_memory_is_pool_bounded() {
-    // 200k triples, a pool of 16 pages: resident memory never exceeds the
-    // pool whatever the access pattern.
-    let triples: Vec<[u32; 3]> = (0..200_000u32).map(|i| [i / 10, 0, i]).collect();
-    let store = PagedTripleStore::bulk_load(MemBackend::new(), &triples).expect("in-memory load");
-    let pool = BufferPool::new(16);
-    store.scan_all(&pool).expect("fault-free scan");
-    assert_eq!(pool.resident(), 16);
-    store
-        .scan_subject_range(&pool, 100, 5000)
-        .expect("fault-free scan");
-    assert!(pool.resident() <= 16);
-    assert!(store.page_count() as usize > 16 * 10, "dataset ≫ pool");
+fn segment_memory_is_cache_bounded() {
+    // 200k triples (2.4 MB decoded per section), a 128 KiB cache:
+    // resident memory never exceeds the cache whatever the access
+    // pattern.
+    const CAPACITY: usize = 128 << 10;
+    let (seg, cache) = segment(200_000, CAPACITY);
+    assert!(seg.len() * 12 > CAPACITY * 10, "dataset ≫ cache");
+    let mut seen = 0;
+    seg.scan_chunks(Pattern::any(), &mut |chunk| {
+        seen += chunk.len();
+        true
+    })
+    .expect("fault-free scan");
+    assert_eq!(seen, 200_000);
+    let resident = cache.resident_bytes();
+    assert!(resident > 0 && resident <= CAPACITY, "{resident} bytes");
+    assert_eq!(scan_subjects(&seg, 100, 5000), 49_010);
+    assert!(cache.resident_bytes() <= CAPACITY);
 }
 
 #[test]
 fn windowed_io_is_result_bounded_not_data_bounded() {
-    let small: Vec<[u32; 3]> = (0..50_000u32).map(|i| [i / 10, 0, i]).collect();
-    let large: Vec<[u32; 3]> = (0..500_000u32).map(|i| [i / 10, 0, i]).collect();
-    let reads_for = |triples: &[[u32; 3]]| {
-        let store =
-            PagedTripleStore::bulk_load(MemBackend::new(), triples).expect("in-memory load");
-        let pool = BufferPool::new(8);
-        store
-            .scan_subject_range(&pool, 1000, 1050)
-            .expect("fault-free scan");
-        store.physical_reads()
+    let reads_for = |n: u32| {
+        let (seg, _cache) = segment(n, 128 << 10);
+        assert_eq!(scan_subjects(&seg, 1000, 1050), 510);
+        seg.backend().reads()
     };
-    let r_small = reads_for(&small);
-    let r_large = reads_for(&large);
-    // Same window, 10× the data: reads must not grow with data size.
+    let r_small = reads_for(50_000);
+    let r_large = reads_for(500_000);
+    // Same window, 10× the data: the zone-mapped directory keeps reads
+    // from growing with data size.
+    assert!(r_small >= 1);
     assert!(
         r_large <= r_small + 1,
         "window reads grew with dataset: {r_small} -> {r_large}"
@@ -105,13 +135,6 @@ fn quadtree_visits_scale_with_window_not_extent() {
     let (_, tiny) = qt.query(&Rect::new(0.0, 0.0, 10.0, 10.0));
     let (_, huge) = qt.query(&Rect::new(0.0, 0.0, 1_000.0, 1_000.0));
     assert!(tiny * 20 < huge, "tiny window visited {tiny}, full {huge}");
-}
-
-#[test]
-fn page_capacity_constant_is_consistent() {
-    // 12 bytes per triple behind a 12-byte header (8-byte checksum +
-    // 4-byte count) in an 8 KiB page.
-    assert_eq!(TRIPLES_PER_PAGE, (8192 - 12) / 12);
 }
 
 #[test]

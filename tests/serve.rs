@@ -442,6 +442,84 @@ fn overload_sheds_503_with_retry_after_then_recovers() {
     rs.shutdown().expect("clean shutdown");
 }
 
+/// 64 concurrent closed-loop clients against two workers: admission
+/// control may shed, but every request gets a complete, well-formed
+/// response — `200`, or `503` with `Retry-After` — never a reset, a
+/// truncated body or a hang (`raw_request` panics on a failed connect,
+/// a read error or timeout, and `parse_response` on a missing head or
+/// terminal chunk).
+#[test]
+fn sixty_four_concurrent_clients_drop_no_connection() {
+    use wodex::synth::rng::Rng;
+    const CLIENTS: usize = 64;
+    const REQUESTS: usize = 4;
+    let rs = boot(ServeConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let addr = rs.addr();
+    let sessions: Vec<String> = (0..CLIENTS)
+        .map(|_| json_str(&post(addr, "/explore/open", "").text(), "session").expect("token"))
+        .collect();
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let statuses: Vec<u16> = std::thread::scope(|scope| {
+        let clients: Vec<_> = sessions
+            .iter()
+            .enumerate()
+            .map(|(c, session)| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut rng = wodex::synth::rng(0x5E47E + c as u64);
+                    barrier.wait();
+                    (0..REQUESTS)
+                        .map(|_| {
+                            let r = match rng.random_range(0..10u32) {
+                                0..=2 => post(
+                                    addr,
+                                    "/sparql",
+                                    &format!("SELECT ?s ?v WHERE {{ ?s <{POP}> ?v }}"),
+                                ),
+                                3 => post(addr, "/sparql", "ASK { ?s ?p ?o }"),
+                                4 => get(addr, &format!("/explore/overview?session={session}")),
+                                5 => get(addr, &format!("/explore/facets?session={session}")),
+                                6 => get(
+                                    addr,
+                                    &format!(
+                                        "/explore/zoom?session={session}&predicate={POP}&lo={}&hi=1e12",
+                                        rng.random_range(0..500_000u64)
+                                    ),
+                                ),
+                                7 => get(
+                                    addr,
+                                    &format!("/explore/hits?session={session}&q=city&limit=10"),
+                                ),
+                                8 => get(addr, &format!("/viz/hist?predicate={POP}&bins=16")),
+                                _ => get(addr, "/stats"),
+                            };
+                            if let Some(len) = r.header("Content-Length") {
+                                assert_eq!(len.parse(), Ok(r.body.len()), "truncated body");
+                            }
+                            match r.status {
+                                200 => assert!(!r.body.is_empty()),
+                                503 => assert!(r.header("Retry-After").is_some(), "bare 503"),
+                                other => panic!("status {other}: {}", r.text()),
+                            }
+                            r.status
+                        })
+                        .collect::<Vec<u16>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(statuses.len(), CLIENTS * REQUESTS);
+    assert!(statuses.contains(&200), "nothing was served");
+    rs.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn admin_shutdown_stops_the_server() {
     let rs = boot(ServeConfig::default());
