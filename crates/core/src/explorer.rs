@@ -2,13 +2,15 @@
 
 use crate::cache::ViewCache;
 use crate::WodexError;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 use wodex_explore::session::ExplorationSession;
 use wodex_explore::{ExploreIndex, ResourceView};
 use wodex_graph::adjacency::Adjacency;
 use wodex_graph::hierarchy::{AbstractionHierarchy, HierarchyView};
 use wodex_graph::layout::{self, FrParams};
 use wodex_hetree::{HETree, Variant};
+use wodex_obs::Gauge;
 use wodex_rdf::stats::DatasetStats;
 use wodex_rdf::{Graph, RdfError, Term, Value};
 use wodex_sparql::{Budget, BudgetedResult, Degraded, QueryError, QueryResult};
@@ -77,59 +79,92 @@ impl GraphView {
     }
 }
 
+/// The two registry series describing the term-level graph of this
+/// process's explorer.
+struct GraphMetrics {
+    materialized: Arc<Gauge>,
+    build_micros: Arc<Gauge>,
+}
+
+fn graph_metrics() -> &'static GraphMetrics {
+    static METRICS: OnceLock<GraphMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = wodex_obs::global();
+        GraphMetrics {
+            materialized: r.gauge(
+                "wodex_explorer_graph_materialized",
+                "1 once the explorer holds its term-level graph, 0 before",
+            ),
+            build_micros: r.gauge_scaled(
+                "wodex_explorer_graph_build_seconds",
+                "Wall time of the explorer's term-level graph decode",
+                1e-6,
+            ),
+        }
+    })
+}
+
 /// The unified framework: one value that loads a dataset and exposes
 /// every capability of the workspace.
 ///
-/// The dataset is held once in each form and shared from there: the
-/// term-level [`Graph`] (with the LDVM pipeline), the encoded
-/// [`TripleStore`] (with the exploration index), and the
-/// [`ExploreIndex`] (held by the explorer's own session, shared with
-/// every other).
+/// The dataset is resident once, as the encoded [`TripleStore`]: SPARQL,
+/// the [`ExploreIndex`] (held by the explorer's own session, shared with
+/// every other), sessions, histograms and degraded charts all read it.
+/// The term-level [`Graph`] is a presentation copy that only the
+/// graph-shaped facilities need — the LDVM pipeline ([`Explorer::visualize`],
+/// [`Explorer::recommend`], a [`Explorer::cached_view`] miss),
+/// [`Explorer::graph`], [`Explorer::shared_graph`], [`Explorer::stats`],
+/// [`Explorer::profiles`], [`Explorer::hetree`],
+/// [`Explorer::class_hierarchy`], [`Explorer::find_paths`] and
+/// [`Explorer::graph_view`]. The first call of any of them decodes it from
+/// the store, once, however many threads arrive together; an explorer
+/// that never renders a chart never holds it.
 pub struct Explorer {
-    graph: Arc<Graph>,
     store: Arc<TripleStore>,
-    pipeline: LdvmPipeline,
+    /// The graph and the wall time its decode took.
+    graph: OnceLock<(Arc<Graph>, Duration)>,
+    pipeline: OnceLock<LdvmPipeline>,
     views: ViewCache,
     session: ExplorationSession,
     prefs: UserPreferences,
 }
 
 impl Explorer {
-    /// Loads from an in-memory [`Graph`].
+    /// Loads from an in-memory [`Graph`]. The graph is kept as the
+    /// explorer's presentation copy, so no graph-shaped facility decodes
+    /// anything later.
     pub fn from_graph(graph: Graph) -> Explorer {
         let store = TripleStore::from_graph(&graph);
-        Explorer::assemble(graph, store)
+        Explorer::assemble(store, Some(graph))
     }
 
     /// Builds an explorer over an existing store — the entry point for
-    /// disk-backed datasets (`wodex serve --store seg:<dir>`).
+    /// servers and disk-backed datasets.
     ///
     /// The SPARQL path and the exploration index query `store` directly,
     /// so a segment-backed store ([`TripleStore::with_base`]) keeps its
-    /// triple data on disk and block-pages it per scan. The graph-shaped
-    /// facilities (viz, path finding) work on a decoded presentation
-    /// copy, built once here.
+    /// triple data on disk and block-pages it per scan. Nothing is decoded
+    /// here: the graph-shaped facilities (see the type docs) decode their
+    /// presentation copy from `store` on first use.
     pub fn from_store(store: TripleStore) -> Explorer {
-        let graph: Graph = store
-            .match_pattern(Pattern::any())
-            .into_iter()
-            .map(|t| store.decode(t))
-            .collect();
-        Explorer::assemble(graph, store)
+        Explorer::assemble(store, None)
     }
 
-    fn assemble(graph: Graph, store: TripleStore) -> Explorer {
-        let graph = Arc::new(graph);
+    fn assemble(store: TripleStore, graph: Option<Graph>) -> Explorer {
         let store = Arc::new(store);
         let index = Arc::new(ExploreIndex::build(Arc::clone(&store)));
-        let prefs = UserPreferences::default();
+        let m = graph_metrics();
+        m.materialized.set(i64::from(graph.is_some()));
+        m.build_micros.set(0);
         Explorer {
-            pipeline: LdvmPipeline::new(Arc::clone(&graph)).with_prefs(prefs.clone()),
+            graph: graph
+                .map(|g| OnceLock::from((Arc::new(g), Duration::ZERO)))
+                .unwrap_or_default(),
+            pipeline: OnceLock::new(),
             views: ViewCache::new(VIEW_CACHE_BYTES),
             session: ExplorationSession::over(index),
-            graph,
             store,
-            prefs,
+            prefs: UserPreferences::default(),
         }
     }
 
@@ -146,20 +181,51 @@ impl Explorer {
     /// Replaces the preferences (re-wires the LDVM pipeline and drops
     /// the views rendered under the old ones).
     pub fn with_prefs(mut self, prefs: UserPreferences) -> Explorer {
-        self.prefs = prefs.clone();
-        self.pipeline = LdvmPipeline::new(Arc::clone(&self.graph)).with_prefs(prefs);
+        self.prefs = prefs;
+        self.pipeline = OnceLock::new();
         self.views.invalidate();
         self
     }
 
-    /// The loaded graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    /// The graph cell, decoded from the store by the first caller.
+    fn materialized(&self) -> &(Arc<Graph>, Duration) {
+        self.graph.get_or_init(|| {
+            let started = Instant::now();
+            let graph: Graph = self
+                .store
+                .match_pattern(Pattern::any())
+                .into_iter()
+                .map(|t| self.store.decode(t))
+                .collect();
+            let build = started.elapsed();
+            let m = graph_metrics();
+            m.build_micros.set(build.as_micros() as i64);
+            m.materialized.set(1);
+            (Arc::new(graph), build)
+        })
     }
 
-    /// The shared graph handle.
+    /// The LDVM pipeline over the graph, under the current preferences.
+    fn pipeline(&self) -> &LdvmPipeline {
+        self.pipeline
+            .get_or_init(|| LdvmPipeline::new(self.shared_graph()).with_prefs(self.prefs.clone()))
+    }
+
+    /// The loaded graph (decoded from the store on first use).
+    pub fn graph(&self) -> &Graph {
+        &self.materialized().0
+    }
+
+    /// The shared graph handle (decoded from the store on first use).
     pub fn shared_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.graph)
+        Arc::clone(&self.materialized().0)
+    }
+
+    /// How long decoding the term-level graph took: `None` while no
+    /// graph-shaped facility has asked for it, zero when
+    /// [`Explorer::from_graph`] was handed it.
+    pub fn graph_build_time(&self) -> Option<Duration> {
+        self.graph.get().map(|(_, build)| *build)
     }
 
     /// The shared exploration index. Servers open further
@@ -180,9 +246,15 @@ impl Explorer {
         &self.store
     }
 
+    /// The store's shared handle — what a server seeds revision 0 of its
+    /// write path with, so the dataset is resident once.
+    pub fn shared_store(&self) -> Arc<TripleStore> {
+        Arc::clone(&self.store)
+    }
+
     /// Dataset statistics (the "Statistics" facility of Table 1).
     pub fn stats(&self) -> DatasetStats {
-        DatasetStats::of(&self.graph)
+        DatasetStats::of(self.graph())
     }
 
     /// Runs a SPARQL-subset query.
@@ -192,20 +264,20 @@ impl Explorer {
 
     /// Profiles every property (the recommendation wizard's first step).
     pub fn profiles(&self) -> Vec<FieldProfile> {
-        wodex_viz::profile::profile_graph(&self.graph)
+        wodex_viz::profile::profile_graph(self.graph())
     }
 
     /// Ranked chart recommendations for one property.
     pub fn recommend(&self, predicate: &str) -> Vec<Recommendation> {
-        let a = self.pipeline.analyze_property(predicate);
-        self.pipeline.recommendations(&a)
+        let pipeline = self.pipeline();
+        pipeline.recommendations(&pipeline.analyze_property(predicate))
     }
 
     /// Runs the full LDVM pipeline for a property with the top-ranked
     /// chart type. Always renders; [`Explorer::cached_view`] is the
     /// memoized form.
     pub fn visualize(&self, predicate: &str) -> View {
-        self.pipeline.run(predicate)
+        self.pipeline().run(predicate)
     }
 
     /// [`Explorer::visualize`] through the explorer's single-flight view
@@ -218,8 +290,8 @@ impl Explorer {
 
     /// Like [`Explorer::visualize`] with an explicit chart type.
     pub fn visualize_as(&self, predicate: &str, kind: VisKind) -> View {
-        let a = self.pipeline.analyze_property(predicate);
-        self.pipeline.view(&a, Some(kind))
+        let pipeline = self.pipeline();
+        pipeline.view(&pipeline.analyze_property(predicate), Some(kind))
     }
 
     /// The interactive exploration session (facets, zoom, search, undo).
@@ -242,7 +314,7 @@ impl Explorer {
     /// their subject as payload.
     pub fn hetree(&self, predicate: &str, variant: Variant) -> HETree {
         let items: Vec<(f64, u64)> = self
-            .graph
+            .graph()
             .triples_for_predicate(predicate)
             .filter_map(|t| {
                 let v = t.object.as_literal().map(Value::from_literal)?;
@@ -400,7 +472,7 @@ impl Explorer {
     /// Extracts the `rdfs:subClassOf` class hierarchy with instance
     /// counts (the §3.5 ontology-visualization substrate).
     pub fn class_hierarchy(&self) -> wodex_rdf::ClassHierarchy {
-        wodex_rdf::ClassHierarchy::extract(&self.graph)
+        wodex_rdf::ClassHierarchy::extract(self.graph())
     }
 
     /// RelFinder-style relationship discovery: the shortest connecting
@@ -412,7 +484,7 @@ impl Explorer {
         max_hops: usize,
         max_paths: usize,
     ) -> Vec<wodex_explore::relfind::Path> {
-        wodex_explore::relfind::find_paths(&self.graph, a, b, max_hops, max_paths)
+        wodex_explore::relfind::find_paths(self.graph(), a, b, max_hops, max_paths)
     }
 
     /// Runs a SPARQL-subset query under a [`Budget`].
@@ -531,7 +603,7 @@ impl Explorer {
     /// Builds the abstraction-hierarchy view of the dataset's link graph
     /// (graphVizdb/ASK-GraphView style).
     pub fn graph_view(&self) -> GraphView {
-        let (adjacency, nodes) = Adjacency::from_rdf(&self.graph);
+        let (adjacency, nodes) = Adjacency::from_rdf(self.graph());
         let hierarchy = AbstractionHierarchy::build(adjacency.clone(), 12, 42);
         GraphView {
             adjacency,
@@ -563,6 +635,61 @@ mod tests {
         let ex = Explorer::from_ntriples(nt).unwrap();
         assert_eq!(ex.store().len(), 1);
         assert!(Explorer::from_turtle("garbage {").is_err());
+    }
+
+    #[test]
+    fn from_graph_keeps_the_graph_it_was_given() {
+        // The cell is seeded at construction: `graph()` finds it filled
+        // and decodes nothing.
+        let ex = explorer();
+        assert_eq!(ex.graph_build_time(), Some(Duration::ZERO));
+        assert_eq!(ex.graph().len(), ex.store().len());
+        assert_eq!(ex.graph_build_time(), Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn from_store_decodes_the_graph_on_first_graph_shaped_use_only() {
+        let pop = "http://dbp.example.org/ontology/population";
+        let mut ex = Explorer::from_store(TripleStore::from_graph(explorer().graph()));
+        ex.sparql("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
+        ex.session().filter(
+            wodex_rdf::vocab::rdf::TYPE,
+            "http://dbp.example.org/ontology/City",
+        );
+        assert!(!ex.search("city", 10).is_empty());
+        ex.details(&Term::iri("http://dbp.example.org/resource/E0"));
+        assert_eq!(ex.property_triples(pop), 300);
+        // A chart the budget cannot afford is sampled off the index.
+        let tight = wodex_sparql::Budget::unlimited().with_row_cap(1);
+        assert!(ex.visualize_budgeted(pop, &tight).1.is_some());
+        assert_eq!(ex.graph_build_time(), None, "nothing above needs it");
+        let ex = ex.with_prefs(UserPreferences::default());
+        assert_eq!(ex.graph_build_time(), None, "nor does re-wiring");
+        // The first render does, once, and re-wiring keeps it.
+        assert_eq!(ex.visualize(pop).svg, explorer().visualize(pop).svg);
+        let built = ex.graph_build_time().expect("decoded by the render");
+        let ex = ex.with_prefs(UserPreferences::default());
+        ex.visualize(pop);
+        assert_eq!(ex.graph_build_time(), Some(built));
+    }
+
+    #[test]
+    fn concurrent_first_uses_share_one_decode() {
+        let ex = Explorer::from_store(TripleStore::from_graph(explorer().graph()));
+        let barrier = std::sync::Barrier::new(8);
+        let graphs: Vec<Arc<Graph>> = std::thread::scope(|scope| {
+            let users: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        ex.shared_graph()
+                    })
+                })
+                .collect();
+            users.into_iter().map(|u| u.join().unwrap()).collect()
+        });
+        assert!(graphs.iter().all(|g| Arc::ptr_eq(g, &graphs[0])));
+        assert_eq!(*graphs[0], *explorer().graph());
     }
 
     #[test]

@@ -70,26 +70,29 @@ pub fn read_dict(path: &Path) -> Result<TermDict, String> {
     }
     let mut pos = 0usize;
     let count = read_varint(payload, &mut pos).ok_or("truncated dictionary count")? as usize;
-    let mut dict = TermDict::with_capacity(count);
-    let mut prev = String::new();
+    // An entry is at least its two varints, so the payload bounds what
+    // the count field may reserve.
+    let mut dict = TermDict::with_capacity(count.min(payload.len() / 2));
+    // Entries are rebuilt on bytes, as the writer front-codes them: a
+    // shared prefix may end inside a multi-byte character, so neither the
+    // prefix nor the suffix is UTF-8 on its own — only the whole entry is.
+    let mut prev: Vec<u8> = Vec::new();
     for i in 0..count {
         let shared = read_varint(payload, &mut pos).ok_or("truncated entry")? as usize;
         let suffix_len = read_varint(payload, &mut pos).ok_or("truncated entry")? as usize;
-        if shared > prev.len() || pos + suffix_len > payload.len() {
+        let end = pos.saturating_add(suffix_len);
+        if shared > prev.len() || end > payload.len() {
             return Err(format!("entry {i} out of bounds"));
         }
-        let suffix = std::str::from_utf8(&payload[pos..pos + suffix_len])
-            .map_err(|e| format!("entry {i} not UTF-8: {e}"))?;
-        pos += suffix_len;
-        let mut text = String::with_capacity(shared + suffix_len);
-        text.push_str(&prev[..shared]);
-        text.push_str(suffix);
-        let term = parse_term(&text).map_err(|e| format!("entry {i} does not parse: {e}"))?;
+        prev.truncate(shared);
+        prev.extend_from_slice(&payload[pos..end]);
+        pos = end;
+        let text = std::str::from_utf8(&prev).map_err(|e| format!("entry {i} not UTF-8: {e}"))?;
+        let term = parse_term(text).map_err(|e| format!("entry {i} does not parse: {e}"))?;
         let id = dict.intern(term);
         if id.index() != i {
             return Err(format!("duplicate term at entry {i}"));
         }
-        prev = text;
     }
     if pos != payload.len() {
         return Err("trailing bytes after last dictionary entry".into());
@@ -157,6 +160,21 @@ mod tests {
         bytes[mid] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_dict(&path).unwrap_err().contains("checksum"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_count_field_cannot_size_an_allocation() {
+        // A well-formed file (magic, checksum) whose count claims 2^62
+        // entries and holds none: a typed error, not a 2^62-slot reserve.
+        let mut payload = Vec::new();
+        write_varint(&mut payload, 1 << 62);
+        let mut bytes = DICT_MAGIC.to_vec();
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&page_checksum(&payload).to_le_bytes());
+        let path = tmp("count.wdx");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_dict(&path).unwrap_err().contains("truncated entry"));
         std::fs::remove_file(&path).ok();
     }
 

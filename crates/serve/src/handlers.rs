@@ -29,18 +29,28 @@
 //! (`X-Wodex-Degraded`, `X-Wodex-Rows`), `/viz/chart` in a response
 //! header — the body stays a well-formed partial answer.
 //!
-//! **Two stores serve this table.** `POST /data`, `/sparql` (outside
-//! coordinator mode), and `GET /explore/subscribe` run on the MVCC
-//! [`LiveStore`](wodex_store::LiveStore) and see every commit. The
-//! exploration sessions (`/explore/open` through `/explore/trace`) and
-//! the viz endpoints serve the **bind-time** explorer dataset — one
-//! shared exploration index (facet and token postings, numeric columns)
-//! and the view cache are built over it and are *not* re-derived per
-//! commit, so a write is visible to `/sparql` and the subscribe feed
-//! immediately but not to an open exploration session (and nothing ever
-//! invalidates a cached chart). `/healthz` reports both stores' triple
-//! counts distinctly. Folding live snapshots into the exploration
-//! engines is the open item tracked in ROADMAP.md.
+//! **One store, two views of it.** At bind time the dataset is resident
+//! once: revision 0 of the MVCC [`LiveStore`](wodex_store::LiveStore) is
+//! the explorer's own store, shared by `Arc`. `POST /data`, `/sparql`
+//! (outside coordinator mode) and `GET /explore/subscribe` read the live
+//! store's *current* snapshot and see every commit, each commit layering
+//! a new version over the shared one. The exploration sessions
+//! (`/explore/open` through `/explore/trace`) and the viz endpoints keep
+//! reading the **bind-time** view — revision 0, with the one shared
+//! exploration index (facet and token postings, numeric columns) and the
+//! view cache built over it, none of which is re-derived per commit — so
+//! a write is visible to `/sparql` and the subscribe feed immediately
+//! but not to an open exploration session (and nothing ever invalidates
+//! a cached chart). `/healthz` reports both views' triple counts
+//! distinctly. Folding live snapshots into the exploration engines is
+//! the open item tracked in ROADMAP.md.
+//!
+//! The term-level graph is not part of that resident state. `/viz/chart`
+//! and `/viz/recommend` decode it from the explorer's store on their
+//! first view-cache miss (once per process; `"explorer"` in `/stats`
+//! says whether and how long); `/sparql`, `/data`, `/explore/*`,
+//! `/viz/hist`, `/shard/*` and a `/viz/chart` whose budget degrades it to
+//! the sampled histogram never do.
 
 use crate::http::{read_request, write_response, ChunkedWriter, ParseError, Request};
 use crate::server::{wake, AppState};
@@ -168,11 +178,11 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// `GET /healthz` — liveness plus the shape of *both* stores: the
-/// bind-time explorer graph (what `/explore/*` and `/viz/*` serve) and
-/// the live MVCC store (what `/sparql`, `POST /data`, and the subscribe
-/// feed see), reported distinctly so the counts never read as one
-/// dataset when writes have made them diverge.
+/// `GET /healthz` — liveness plus the shape of *both* views: the
+/// bind-time explorer store (what `/explore/*` and `/viz/*` serve) and
+/// the live store's current snapshot (what `/sparql`, `POST /data`, and
+/// the subscribe feed see), reported distinctly so the counts never read
+/// as one dataset when writes have made them diverge.
 fn healthz(state: &AppState, out: &mut TcpStream) {
     let snap = state.live.snapshot();
     let body = format!(
@@ -251,6 +261,7 @@ fn stats(state: &AppState, out: &mut TcpStream) {
     let gv = wodex_obs::global().gauge_values();
     let counter = |name: &str| cv.get(name).copied().unwrap_or(0);
     let gauge = |name: &str| gv.get(name).copied().unwrap_or(0);
+    let graph_build = state.explorer.graph_build_time();
     let body = format!(
         concat!(
             "{{\"requests\":{{\"accepted\":{},\"admitted\":{},\"completed\":{},",
@@ -262,6 +273,7 @@ fn stats(state: &AppState, out: &mut TcpStream) {
             "\"segcache\":{{\"lookups\":{},\"hits\":{},\"misses\":{},",
             "\"evictions\":{},\"bytes\":{}}},",
             "\"explore_index\":{{\"bytes\":{},\"build_seconds\":{}}},",
+            "\"explorer\":{{\"graph_materialized\":{},\"graph_build_seconds\":{}}},",
             "\"viewcache\":{{\"lookups\":{},\"hits\":{},\"misses\":{},\"renders\":{}}},",
             "\"config\":{{\"workers\":{},\"queue_depth\":{},\"deadline_ms\":{},\"row_cap\":{}}},",
             "{}\"uptime_ms\":{}}}"
@@ -293,6 +305,8 @@ fn stats(state: &AppState, out: &mut TcpStream) {
         gauge("wodex_explore_index_bytes"),
         // The gauge's raw unit is microseconds.
         json_f64(gauge("wodex_explore_index_build_seconds") as f64 / 1e6),
+        graph_build.is_some(),
+        json_f64(graph_build.unwrap_or_default().as_secs_f64()),
         counter("wodex_viewcache_lookups_total"),
         counter("wodex_viewcache_hits_total"),
         counter("wodex_viewcache_misses_total"),
@@ -323,9 +337,12 @@ fn stats(state: &AppState, out: &mut TcpStream) {
 /// the revision the answer is pinned to.
 fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
     let text = if req.body.is_empty() {
-        req.param("query").unwrap_or("").to_string()
+        req.param("query").unwrap_or("")
     } else {
-        String::from_utf8_lossy(&req.body).into_owned()
+        match std::str::from_utf8(&req.body) {
+            Ok(text) => text,
+            Err(e) => return bad_request(state, out, &format!("query is not UTF-8: {e}")),
+        }
     };
     if text.trim().is_empty() {
         bad_request(state, out, "empty query (send it as the POST body)");
@@ -359,7 +376,7 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
     // converge on (result, degraded) and stream identically, the
     // coordinator adding a per-shard report trailer.
     let (result, degraded, shard_wire, revision) = if let Some(coord) = &state.coordinator {
-        match coord.query_traced_with(&text, &budget, &trace, opts) {
+        match coord.query_traced_with(text, &budget, &trace, opts) {
             Ok(c) => {
                 let wire = c
                     .shards
@@ -376,7 +393,7 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
         }
     } else {
         let snap = state.live.snapshot();
-        match wodex_sparql::query_traced_with(snap.store(), &text, &budget, &trace, opts) {
+        match wodex_sparql::query_traced_with(snap.store(), text, &budget, &trace, opts) {
             Ok(b) => (b.result, b.degraded, None, Some(snap.revision())),
             Err(e) => {
                 bad_request(state, out, &e.to_string());
@@ -484,12 +501,17 @@ fn stream_table(
 /// effective change publishes nothing and answers with the unchanged
 /// head revision.
 fn data_commit(state: &AppState, req: &Request, out: &mut TcpStream) {
-    let text = String::from_utf8_lossy(&req.body).into_owned();
+    // Lossy decoding would commit U+FFFD where the client sent something
+    // else; a body that is not UTF-8 is not N-Triples.
+    let text = match std::str::from_utf8(&req.body) {
+        Ok(text) => text,
+        Err(e) => return bad_request(state, out, &format!("body is not UTF-8: {e}")),
+    };
     if text.trim().is_empty() {
         bad_request(state, out, "empty body (send N-Triples)");
         return;
     }
-    let graph = match wodex_rdf::ntriples::parse(&text) {
+    let graph = match wodex_rdf::ntriples::parse(text) {
         Ok(g) => g,
         Err(e) => {
             bad_request(state, out, &format!("bad N-Triples: {e}"));

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use wodex_core::Explorer;
 use wodex_exec::channel::{self, TrySendError};
 use wodex_obs::{Counter, Histogram};
-use wodex_store::{LiveStore, Pattern, TripleStore};
+use wodex_store::LiveStore;
 
 /// Global-registry handles for the serving layer. The per-instance
 /// [`Counters`] stay authoritative for `/stats` and the admission tests;
@@ -253,8 +253,10 @@ impl Counters {
     }
 }
 
-/// Dataset shape, precomputed at bind time so `/stats` never walks the
-/// graph on the request path.
+/// Dataset shape at bind time, read off the store's indexes
+/// ([`wodex_store::TripleStore::stats`]): exact for the single-level
+/// store `wodex serve` builds, an estimate (each segment's distinct
+/// counts summed, an unmerged tail left out) for a layered one.
 #[derive(Debug, Clone, Copy)]
 pub struct DatasetSummary {
     /// Total triples.
@@ -290,12 +292,12 @@ pub struct AppState {
     pub coordinator: Option<Arc<wodex_shard::Coordinator>>,
     /// The MVCC write path: `POST /data` commits here, `/sparql`
     /// evaluates against its current snapshot, and
-    /// `GET /explore/subscribe` long-polls its delta frames. Seeded at
-    /// bind time with a copy of the explorer's store (revision 0).
-    /// Note the split: the `explorer` field keeps serving the bind-time
-    /// graph to the exploration/viz endpoints and is *not* updated by
-    /// commits — see the handlers module docs and `/healthz`, which
-    /// reports both stores' counts distinctly.
+    /// `GET /explore/subscribe` long-polls its delta frames. Revision 0
+    /// is the explorer's store itself, shared by `Arc`, not a copy.
+    /// Note the split: the `explorer` field keeps serving revision 0 to
+    /// the exploration/viz endpoints and is *not* updated by commits —
+    /// see the handlers module docs and `/healthz`, which reports both
+    /// views' counts distinctly.
     pub live: Arc<LiveStore>,
 }
 
@@ -343,20 +345,18 @@ impl Server {
             cfg.session_capacity,
             cfg.session_ttl,
         );
-        let stats = explorer.stats();
+        let store = explorer.shared_store();
+        let distinct = store.stats().distinct;
         let dataset = DatasetSummary {
-            triples: stats.triple_count,
-            subjects: stats.subject_count,
-            predicates: stats.predicate_count,
+            triples: store.len(),
+            subjects: distinct[0],
+            predicates: distinct[1],
         };
-        // Seed the MVCC write path with a revision-0 copy of the
-        // dataset. The explorer keeps serving the bind-time graph to
+        // Revision 0 of the MVCC write path is the explorer's own store:
+        // one allocation, two views. The explorer keeps serving it to
         // the exploration/viz endpoints; `/sparql` and the subscribe
-        // feed see live commits through this store's snapshots.
-        let live = Arc::new(LiveStore::new(TripleStore::from_encoded(
-            explorer.store().dict().clone(),
-            explorer.store().match_pattern(Pattern::any()),
-        )));
+        // feed see live commits through the versions layered over it.
+        let live = Arc::new(LiveStore::shared(store));
         let state = Arc::new(AppState {
             explorer,
             dataset,

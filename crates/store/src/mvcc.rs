@@ -292,6 +292,14 @@ impl LiveStore {
         LiveStore::with_options_at(initial, 0, history_cap, flatten_depth)
     }
 
+    /// [`LiveStore::new`] over a store that is already shared: revision 0
+    /// *is* `initial` — [`Snapshot::store_arc`] at revision 0 points to
+    /// the caller's allocation, nothing is copied. The server seeds its
+    /// write path with the explorer's store this way.
+    pub fn shared(initial: Arc<TripleStore>) -> LiveStore {
+        LiveStore::assemble(initial, 0, DEFAULT_HISTORY_CAP, DEFAULT_FLATTEN_DEPTH)
+    }
+
     /// [`LiveStore::at_revision`] with explicit history and flatten
     /// bounds.
     pub fn with_options_at(
@@ -300,14 +308,20 @@ impl LiveStore {
         history_cap: usize,
         flatten_depth: usize,
     ) -> LiveStore {
+        LiveStore::assemble(Arc::new(initial), revision, history_cap, flatten_depth)
+    }
+
+    fn assemble(
+        store: Arc<TripleStore>,
+        revision: u64,
+        history_cap: usize,
+        flatten_depth: usize,
+    ) -> LiveStore {
         let _ = metrics();
         LiveStore {
             commit_lock: Mutex::new(()),
             state: Mutex::new(LiveState {
-                current: Snapshot {
-                    revision,
-                    store: Arc::new(initial),
-                },
+                current: Snapshot { revision, store },
                 depth: 0,
                 history: VecDeque::new(),
             }),
@@ -581,6 +595,22 @@ mod tests {
         assert_eq!(after.store().len(), 10);
         assert!(!after.store().contains(&t(0, 0)));
         assert!(after.store().contains(&t(100, 100)));
+    }
+
+    #[test]
+    fn a_shared_initial_store_is_revision_zero_itself() {
+        let mine = Arc::new(seed_store(10));
+        let live = LiveStore::shared(Arc::clone(&mine));
+        assert_eq!(live.revision(), 0);
+        assert!(Arc::ptr_eq(&mine, &live.snapshot().store_arc()));
+        let mut batch = WriteBatch::new();
+        batch.insert(t(100, 100)).delete(t(0, 0));
+        live.commit(&batch).expect("commit");
+        // The commit layered a new version over the shared store; the
+        // caller's handle still reads revision 0.
+        assert!(!Arc::ptr_eq(&mine, &live.snapshot().store_arc()));
+        assert!(mine.contains(&t(0, 0)) && !mine.contains(&t(100, 100)));
+        assert!(live.snapshot().store().contains(&t(100, 100)));
     }
 
     #[test]

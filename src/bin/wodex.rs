@@ -21,9 +21,12 @@
 //!
 //! Everywhere a `<file>` is accepted, `seg:<dir>` opens a persistent
 //! segment store produced by `wodex load` instead of parsing a document:
-//! triple data stays on disk and is block-paged per scan. `wodex serve
-//! --store seg:<dir>` additionally runs `wodex-seg`'s background
-//! compaction, stopped cleanly on `POST /admin/shutdown` or SIGTERM.
+//! for the one-shot subcommands triple data stays on disk and is
+//! block-paged per scan. `wodex serve --store seg:<dir>` scans the
+//! segments once into the one resident store every endpoint shares (no
+//! parse, no second copy, no term-level graph until a chart asks for
+//! one) and additionally runs `wodex-seg`'s background compaction,
+//! stopped cleanly on `POST /admin/shutdown` or SIGTERM.
 //!
 //! Sharded serving: `--shard K/N` keeps only shard `K` of an `N`-way
 //! subject-hash partition (a worker process), `--coordinator shards.txt`
@@ -71,7 +74,7 @@ fn run(args: &[String]) -> i32 {
                     return 2;
                 }
             };
-            let ex = match load(path) {
+            let ex = match load_resident(path) {
                 Ok(ex) => ex,
                 Err(e) => {
                     eprintln!("cannot load {path}: {e}");
@@ -501,7 +504,10 @@ fn serve(ex: Explorer, seg_dir: Option<std::path::PathBuf>, rest: &[String]) -> 
                 part.len(),
                 ex.graph().len()
             );
-            Explorer::from_graph(part)
+            // The whole dataset (and the graph just decoded from it) goes
+            // before the shard's own store is built.
+            drop(ex);
+            resident(&part)
         }
         None => ex,
     };
@@ -569,6 +575,19 @@ fn parse_shard_spec(v: &str) -> Option<(u32, u32)> {
     (n >= 1 && k < n).then_some((k, n))
 }
 
+/// Parses a `.nt` (N-Triples) or any other (Turtle) document.
+fn parse_document(path: &str) -> Result<wodex::rdf::Graph, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    if path.ends_with(".nt") {
+        wodex::rdf::ntriples::parse(&text).map_err(|e| e.to_string())
+    } else {
+        wodex::rdf::turtle::parse(&text).map_err(|e| e.to_string())
+    }
+}
+
+/// The dataset of a one-shot subcommand. A `seg:` store stays on disk —
+/// the command reads the blocks it needs and exits — and a parsed
+/// document is handed to the explorer as its graph.
 fn load(path: &str) -> Result<Explorer, String> {
     if let Some(dir) = path.strip_prefix("seg:") {
         let (dict, store) =
@@ -576,12 +595,38 @@ fn load(path: &str) -> Result<Explorer, String> {
         let store = wodex::store::TripleStore::with_base(dict, std::sync::Arc::new(store));
         return Ok(Explorer::from_store(store));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    if path.ends_with(".nt") {
-        Explorer::from_ntriples(&text).map_err(|e| e.to_string())
-    } else {
-        Explorer::from_turtle(&text).map_err(|e| e.to_string())
-    }
+    Ok(Explorer::from_graph(parse_document(path)?))
+}
+
+/// The dataset of `wodex serve`: one resident single-level store, and
+/// nothing else, whichever form the input had. A `seg:` directory is
+/// scanned once, uncached, into the store (its dictionary moved, not
+/// copied) and closed, so no decoded block outlives boot; a document's
+/// parsed graph is dropped once the store is built from it.
+fn load_resident(path: &str) -> Result<Explorer, String> {
+    use wodex::store::{Pattern, SegmentSource, TripleStore};
+    let Some(dir) = path.strip_prefix("seg:") else {
+        return Ok(resident(&parse_document(path)?));
+    };
+    let (dict, mut segments) =
+        wodex::seg::SegmentStore::open(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+    segments.set_block_cache(None);
+    let mut triples = Vec::with_capacity(segments.source_len());
+    segments
+        .scan_chunks(Pattern::any(), &mut |chunk| {
+            triples.extend_from_slice(chunk);
+            true
+        })
+        .map_err(|e| e.to_string())?;
+    drop(segments);
+    Ok(Explorer::from_store(TripleStore::from_encoded(
+        dict, triples,
+    )))
+}
+
+/// An explorer holding `graph` as a store only (see [`load_resident`]).
+fn resident(graph: &wodex::rdf::Graph) -> Explorer {
+    Explorer::from_store(wodex::store::TripleStore::from_graph(graph))
 }
 
 /// Installs a SIGTERM handler (raw `signal(2)` — the workspace is

@@ -401,3 +401,63 @@ fn a_thousand_sessions_share_one_index_and_add_nothing_to_it() {
     drop(sessions);
     assert_eq!(Arc::strong_count(&index), 1);
 }
+
+/// Lazy ≡ eager: an explorer that decodes its term-level graph from the
+/// store on first use answers every graph-shaped facility exactly as one
+/// that was handed the graph — SVG bytes included.
+fn lazy_explorer_equals_eager(graph: Graph, endpoints: &[(Term, Term)]) {
+    use wodex::core::Explorer;
+    let predicates: BTreeSet<String> = graph.iter().map(|t| predicate_of(t).to_string()).collect();
+    let lazy = Explorer::from_store(wodex::store::TripleStore::from_graph(&graph));
+    let eager = Explorer::from_graph(graph);
+    assert!(lazy.graph_build_time().is_none(), "nothing decoded yet");
+    assert_eq!(eager.graph_build_time(), Some(std::time::Duration::ZERO));
+    for p in &predicates {
+        let (l, e) = (lazy.visualize(p), eager.visualize(p));
+        assert_eq!(l.kind, e.kind, "{p}");
+        assert_eq!(l.svg, e.svg, "{p}");
+        assert_eq!(l.scene, e.scene, "{p}");
+        assert_eq!(l.recommendations, e.recommendations, "{p}");
+        assert_eq!(lazy.recommend(p), eager.recommend(p), "{p}");
+    }
+    assert!(lazy.graph_build_time().is_some());
+    assert_eq!(lazy.graph(), eager.graph());
+    // Through `Debug`: the corpus has a NaN measure, and NaN != NaN.
+    assert_eq!(
+        format!("{:?}", lazy.profiles()),
+        format!("{:?}", eager.profiles())
+    );
+    assert_eq!(
+        format!("{:?}", lazy.stats()),
+        format!("{:?}", eager.stats())
+    );
+    assert_eq!(lazy.class_hierarchy(), eager.class_hierarchy());
+    for (a, b) in endpoints {
+        let paths = eager.find_paths(a, b, 4, 5);
+        assert!(!paths.is_empty(), "{a} and {b} are connected");
+        assert_eq!(lazy.find_paths(a, b, 4, 5), paths);
+    }
+}
+
+#[test]
+fn a_lazily_decoded_graph_answers_like_the_original_on_both_fixtures() {
+    let ns = "http://stats.example.org/observation/";
+    lazy_explorer_equals_eager(
+        synth_corpus(),
+        &[
+            (Term::iri(format!("{ns}O2")), Term::iri(format!("{ns}O1"))),
+            (Term::iri(format!("{ns}O2")), Term::blank("b0")),
+        ],
+    );
+    let dbp = dbpedia::generate(&DbpediaConfig {
+        entities: 150,
+        ..Default::default()
+    });
+    // Any two linked resources will do as path endpoints.
+    let link = dbp
+        .iter()
+        .find(|t| predicate_of(t).ends_with("/linksTo"))
+        .expect("the fixture links resources");
+    let endpoints = [(link.subject.clone(), link.object.clone())];
+    lazy_explorer_equals_eager(dbp, &endpoints);
+}

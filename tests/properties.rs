@@ -91,6 +91,39 @@ fn dictionary_roundtrips_any_term() {
     });
 }
 
+/// The on-disk dictionary front-codes on bytes; a shared prefix may end
+/// inside a character. Labels drawn from characters that share lead
+/// bytes (é/è/ß: C3, 中/丁/七: E4 B8, 😀/😁: F0 9F 98) make most
+/// neighbours split one.
+#[test]
+fn segment_dictionary_roundtrips_non_ascii_neighbours() {
+    const POOL: &[char] = &['a', 'é', 'è', 'ß', '中', '丁', '七', '😀', '😁', 'π', '"'];
+    let dir = std::env::temp_dir().join(format!("wodex_prop_dict_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("dict.wdx");
+    for_each_case(16, |rng| {
+        let mut d = TermDict::new();
+        for _ in 0..rng.random_range(1..40usize) {
+            let len = rng.random_range(0..4usize);
+            let label: String = (0..len)
+                .map(|_| POOL[rng.random_range(0..POOL.len())])
+                .collect();
+            d.intern(match rng.random_range(0..3u32) {
+                0 => Term::literal(label),
+                1 => Term::Literal(Literal::lang_string(label, "el")),
+                _ => Term::iri(format!("http://e.org/{}", label.replace('"', ""))),
+            });
+        }
+        wodex::seg::write_dict(&d, &path).expect("write");
+        let back = wodex::seg::read_dict(&path).expect("what the writer wrote must read back");
+        assert_eq!(back.len(), d.len());
+        for (id, term) in d.iter() {
+            assert_eq!(back.term(id), term);
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ntriples_roundtrips_any_graph() {
     for_each_case(2, |rng| {

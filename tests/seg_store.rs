@@ -282,3 +282,32 @@ fn compaction_preserves_answers_under_query_load() {
     assert_eq!(want, sorted_rows(&run(&fresh, q, EvalOptions::default())));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The dictionary sidecar front-codes on bytes, so two consecutive terms
+/// may share *part* of a multi-byte character. Such a load must open
+/// again: `"café"` then `"cafè"` (C3 A9 / C3 A8) used to write a store
+/// every later `SegmentStore::open` refused with "entry 3 not UTF-8".
+#[test]
+fn a_loaded_store_opens_when_neighbouring_terms_split_a_character() {
+    // Objects of consecutive lines are consecutive dictionary entries
+    // only if nothing new is interned between them, so every line reuses
+    // the first line's subject and predicate.
+    let neighbours = [
+        ("café", "cafè"),   // 2-byte: C3 A9 / C3 A8
+        ("中", "丁"),       // 3-byte: E4 B8 AD / E4 B8 81
+        ("😀", "😁"),       // 4-byte: F0 9F 98 80 / F0 9F 98 81
+        ("naïve", "naîve"), // the split falls mid-word
+    ];
+    let nt: String = neighbours
+        .iter()
+        .flat_map(|(a, b)| [a, b])
+        .map(|label| format!("<http://e.org/s> <http://e.org/label> \"{label}\" .\n"))
+        .collect();
+    let dir = tmpdir("utf8_neighbours");
+    let report = load_ntriples(nt.as_bytes(), &dir, &LoadConfig::default()).expect("bulk load");
+    assert_eq!(report.triples, 2 * neighbours.len());
+    let (dict, segs) = SegmentStore::open(&dir).expect("a store the loader wrote must open");
+    let seg = TripleStore::with_base(dict, Arc::new(segs));
+    assert_eq!(graph_of(&seg), ntriples::parse(&nt).expect("parses"));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,12 +11,16 @@ use wodex::synth::dbpedia::{self, DbpediaConfig};
 
 const POP: &str = "http://dbp.example.org/ontology/population";
 
-fn explorer() -> Explorer {
-    let g = dbpedia::generate(&DbpediaConfig {
+fn dataset() -> wodex::rdf::Graph {
+    dbpedia::generate(&DbpediaConfig {
         entities: 120,
         ..Default::default()
-    });
-    Explorer::from_graph(g)
+    })
+}
+
+/// An explorer in the shape `wodex serve` boots: a store, no graph yet.
+fn explorer() -> Explorer {
+    Explorer::from_store(wodex::store::TripleStore::from_graph(&dataset()))
 }
 
 fn boot(cfg: ServeConfig) -> RunningServer {
@@ -262,7 +266,7 @@ fn every_endpoint_answers() {
         json_str(&stats.text(), "triples").unwrap(),
         json_str(&health.text(), "explorer_triples").unwrap()
     );
-    // No writes yet: the bind-time graph and the live store agree.
+    // No writes yet: the bind-time view and the live head agree.
     assert_eq!(
         json_str(&health.text(), "explorer_triples").unwrap(),
         json_str(&health.text(), "live_triples").unwrap()
@@ -286,6 +290,8 @@ fn concurrent_first_chart_requests_share_one_render() {
         ..Default::default()
     });
     let addr = rs.addr();
+    let state = rs.state();
+    assert_eq!(state.explorer.graph_build_time(), None);
     let barrier = std::sync::Barrier::new(CLIENTS);
     let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CLIENTS)
@@ -303,7 +309,6 @@ fn concurrent_first_chart_requests_share_one_render() {
     });
     assert!(bodies[0].starts_with(b"<svg"));
     assert!(bodies.iter().all(|b| b == &bodies[0]), "byte-identical");
-    let state = rs.state();
     assert_eq!(state.explorer.view_cache().renders(), 1);
     // The ranking of the same property is read off the same view, and a
     // cached chart is served whole even when the budget affords no row.
@@ -313,6 +318,198 @@ fn concurrent_first_chart_requests_share_one_render() {
     assert_eq!(capped.header("X-Wodex-Degraded"), Some("none"));
     assert_eq!(capped.body, bodies[0]);
     assert_eq!(state.explorer.view_cache().renders(), 1);
+    // The one render decoded the term-level graph, once: the chart is the
+    // one an explorer holding the parsed graph draws, and a chart of
+    // another property finds the same graph in place.
+    let eager = Explorer::from_graph(dataset());
+    assert_eq!(bodies[0], eager.visualize(POP).svg.as_bytes());
+    let built = state.explorer.graph_build_time().expect("decoded");
+    let graph = state.explorer.shared_graph();
+    let area = "http://dbp.example.org/ontology/area";
+    let other = get(addr, &format!("/viz/chart?predicate={area}"));
+    assert_eq!(other.body, eager.visualize(area).svg.as_bytes());
+    assert_eq!(state.explorer.graph_build_time(), Some(built));
+    assert!(std::sync::Arc::ptr_eq(
+        &graph,
+        &state.explorer.shared_graph()
+    ));
+    rs.shutdown().expect("clean shutdown");
+}
+
+/// Only a rendered chart needs the term-level graph: queries, writes, a
+/// whole exploration click cycle, histograms and a chart the budget
+/// degrades to a sample all leave it undecoded.
+#[test]
+fn nothing_but_a_rendered_chart_decodes_the_graph() {
+    let rs = boot(ServeConfig::default());
+    let addr = rs.addr();
+    let state = rs.state();
+    assert_eq!(post(addr, "/sparql", "ASK { ?s ?p ?o }").status, 200);
+    let nt = "<http://ex.org/live/s1> <http://ex.org/live/p> \"v1\" .\n";
+    assert_eq!(post(addr, "/data", nt).status, 200);
+    let token = json_str(&post(addr, "/explore/open", "").text(), "session").expect("token");
+    let session = format!("session={token}");
+    for target in [
+        format!("/explore/overview?{session}"),
+        format!("/explore/facets?{session}"),
+        format!("/explore/filter?{session}&predicate=http%3A%2F%2Fwww.w3.org%2F1999%2F02%2F22-rdf-syntax-ns%23type&value=http%3A%2F%2Fdbp.example.org%2Fontology%2FCity"),
+        format!("/explore/zoom?{session}&predicate={POP}&lo=0&hi=1e12"),
+        format!("/explore/search?{session}&q=city"),
+        format!("/explore/hits?{session}&q=city&limit=5"),
+        format!("/explore/details?{session}&iri=http%3A%2F%2Fdbp.example.org%2Fresource%2FE0"),
+        format!("/explore/undo?{session}"),
+        format!("/viz/hist?predicate={POP}&bins=8"),
+        "/shard/scan?row_cap=5".to_string(),
+        "/stats".to_string(),
+    ] {
+        assert_eq!(get(addr, &target).status, 200, "{target}");
+    }
+    // The charge precedes the render: a cold chart that cannot afford its
+    // rows degrades to the sampled histogram without decoding anything.
+    let capped = get(addr, &format!("/viz/chart?predicate={POP}&row_cap=1"));
+    assert_eq!(capped.status, 200);
+    assert!(capped.text().contains("<svg"));
+    assert_ne!(capped.header("X-Wodex-Degraded"), Some("none"));
+    assert_eq!(state.explorer.graph_build_time(), None);
+    assert!(get(addr, "/stats")
+        .text()
+        .contains("\"explorer\":{\"graph_materialized\":false,\"graph_build_seconds\":0}"));
+
+    let rec = get(addr, &format!("/viz/recommend?predicate={POP}"));
+    assert!(rec.text().contains("\"recommendations\":[{"));
+    assert!(state.explorer.graph_build_time().is_some());
+    assert!(get(addr, "/stats")
+        .text()
+        .contains("\"explorer\":{\"graph_materialized\":true,\"graph_build_seconds\":"));
+    rs.shutdown().expect("clean shutdown");
+}
+
+/// At bind time the dataset is resident once: revision 0 of the live
+/// store *is* the explorer's store. A commit layers a new version over
+/// it; everything pinned to revision 0 keeps reading revision 0.
+#[test]
+fn explorer_and_live_store_share_one_store_until_a_commit_layers_over_it() {
+    use std::sync::Arc;
+    let rs = boot(ServeConfig::default());
+    let addr = rs.addr();
+    let state = rs.state();
+    let before = state.live.snapshot();
+    assert_eq!(before.revision(), 0);
+    assert!(Arc::ptr_eq(
+        &state.explorer.shared_store(),
+        &before.store_arc()
+    ));
+    let health = get(addr, "/healthz").text();
+    assert_eq!(
+        json_str(&health, "explorer_triples"),
+        json_str(&health, "live_triples")
+    );
+    // The summary read off the store's indexes is the profile's.
+    let profile = Explorer::from_graph(dataset()).stats();
+    assert_eq!(
+        (
+            state.dataset.triples,
+            state.dataset.subjects,
+            state.dataset.predicates
+        ),
+        (
+            profile.triple_count,
+            profile.subject_count,
+            profile.predicate_count
+        )
+    );
+
+    let city_filter = "predicate=http%3A%2F%2Fwww.w3.org%2F1999%2F02%2F22-rdf-syntax-ns%23type&value=http%3A%2F%2Fdbp.example.org%2Fontology%2FCity";
+    let token = json_str(&post(addr, "/explore/open", "").text(), "session").expect("token");
+    let cities = |token: &str| {
+        let r = get(
+            addr,
+            &format!("/explore/filter?session={token}&{city_filter}"),
+        );
+        json_str(&r.text(), "matching").expect("matching")
+    };
+    let cities_before = cities(&token);
+    let count = "SELECT (COUNT(*) AS ?n) WHERE { ?s a <http://dbp.example.org/ontology/City> }";
+    let count_before = post(addr, "/sparql", count).text();
+
+    // One more city, through the write path.
+    let new_city = wodex::rdf::Triple::iri(
+        "http://ex.org/live/atlantis",
+        wodex::rdf::vocab::rdf::TYPE,
+        wodex::rdf::Term::iri("http://dbp.example.org/ontology/City"),
+    );
+    let commit = post(addr, "/data", &format!("{new_city}\n"));
+    assert_eq!(json_str(&commit.text(), "revision").unwrap(), "1");
+
+    // /sparql reads the new head …
+    let after = state.live.snapshot();
+    assert!(after.store().contains(&new_city));
+    assert!(!Arc::ptr_eq(&before.store_arc(), &after.store_arc()));
+    assert_ne!(post(addr, "/sparql", count).text(), count_before);
+    // … while the snapshot taken before it, the explorer's store, the
+    // open session and a session opened afterwards answer from revision 0.
+    assert!(!before.store().contains(&new_city));
+    assert!(!state.explorer.store().contains(&new_city));
+    assert!(Arc::ptr_eq(
+        &state.explorer.shared_store(),
+        &before.store_arc()
+    ));
+    get(addr, &format!("/explore/undo?session={token}"));
+    assert_eq!(cities(&token), cities_before);
+    let late = json_str(&post(addr, "/explore/open", "").text(), "session").expect("token");
+    assert_eq!(cities(&late), cities_before);
+    let health = get(addr, "/healthz").text();
+    let triples = |key| json_str(&health, key).unwrap().parse::<u64>().unwrap();
+    assert_eq!(triples("live_triples"), triples("explorer_triples") + 1);
+    rs.shutdown().expect("clean shutdown");
+}
+
+/// A write body that is not UTF-8 is refused whole: lossy decoding would
+/// commit U+FFFD in place of bytes the client never sent.
+#[test]
+fn a_write_that_is_not_utf8_is_a_400_that_commits_nothing() {
+    let rs = boot(ServeConfig::default());
+    let addr = rs.addr();
+    let post_bytes = |target: &str, body: &[u8]| {
+        let mut raw = format!(
+            "POST {target} HTTP/1.1\r\nHost: wodex\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        raw_request(addr, &raw)
+    };
+    let triple = |label: &[u8]| {
+        let mut nt = b"<http://ex.org/live/s> <http://ex.org/live/p> \"".to_vec();
+        nt.extend_from_slice(label);
+        nt.extend_from_slice(b"\" .\n");
+        nt
+    };
+    // 0xE9 is Latin-1 'é': a lone continuation-less lead byte in UTF-8.
+    let bad = post_bytes("/data", &triple(b"caf\xE9"));
+    assert_eq!(bad.status, 400, "{}", bad.text());
+    assert!(bad.text().contains("not UTF-8"), "{}", bad.text());
+    let health = get(addr, "/healthz").text();
+    assert_eq!(json_str(&health, "revision").unwrap(), "0");
+    assert_eq!(
+        json_str(&health, "explorer_triples"),
+        json_str(&health, "live_triples")
+    );
+    let all = post(
+        addr,
+        "/sparql",
+        "SELECT ?o WHERE { <http://ex.org/live/s> ?p ?o }",
+    );
+    assert_eq!(all.header("X-Wodex-Rows"), Some("0"));
+    // The same batch in UTF-8 commits, with the bytes the client sent.
+    let good = post_bytes("/data", &triple("café".as_bytes()));
+    assert_eq!(good.status, 200, "{}", good.text());
+    assert_eq!(json_str(&good.text(), "revision").unwrap(), "1");
+    assert_eq!(json_str(&good.text(), "inserts").unwrap(), "1");
+    // A query body gets the same treatment.
+    let query = post_bytes("/sparql", b"SELECT ?s WHERE { ?s ?p \"caf\xE9\" }");
+    assert_eq!(query.status, 400);
+    assert!(query.text().contains("not UTF-8"), "{}", query.text());
     rs.shutdown().expect("clean shutdown");
 }
 
@@ -635,7 +832,7 @@ fn live_writes_commit_stream_and_pin_snapshots() {
     assert!(after.text().contains("v1"));
 
     // /healthz reports the explorer/live split distinctly: the live
-    // store grew by the two committed triples, the bind-time graph
+    // store grew by the two committed triples, the bind-time view
     // served to /explore/* did not.
     let health = get(addr, "/healthz");
     let explorer: u64 = json_str(&health.text(), "explorer_triples")
