@@ -519,25 +519,6 @@ impl Explorer {
         )?)
     }
 
-    /// [`Explorer::sparql_traced`] with explicit engine options — the
-    /// serving layer's hook for its `engine=greedy|pairwise|wco`
-    /// selector.
-    pub fn sparql_traced_with(
-        &self,
-        query: &str,
-        budget: &Budget,
-        trace: &wodex_sparql::QueryTrace,
-        opts: wodex_sparql::EvalOptions,
-    ) -> Result<BudgetedResult, WodexError> {
-        Ok(wodex_sparql::query_traced_with(
-            &self.store,
-            query,
-            budget,
-            trace,
-            opts,
-        )?)
-    }
-
     /// Number of triples with the given predicate, read off the store's
     /// index (nothing is walked).
     pub fn property_triples(&self, predicate: &str) -> usize {
@@ -866,6 +847,11 @@ mod tests {
         let d = b.degraded.expect("10-row cap over 300 rows must trip");
         assert!(d.coverage < 1.0);
         assert!(b.result.table().unwrap().len() < 300);
+        // The cap cuts a deterministic prefix, whatever `WODEX_THREADS`
+        // says: the probe is one item, the decode of its 300 rows is
+        // admitted one 256-row chunk.
+        assert_eq!(b.result.table().unwrap().len(), 256);
+        assert_eq!(d.coverage, 256.0 / 300.0);
     }
 
     #[test]

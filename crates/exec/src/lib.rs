@@ -418,19 +418,25 @@ impl<R> Partial<R> {
     }
 }
 
-/// [`par_map`] under a [`Budget`]: workers poll the budget before claiming
-/// each chunk and stop cooperatively once it is exceeded, returning the
-/// longest completed prefix instead of the full map.
+/// [`par_map`] under a [`Budget`]: workers poll the budget before each
+/// chunk they claim and stop cooperatively once it is exceeded, returning
+/// the longest completed prefix instead of the full map.
 ///
 /// An unlimited budget routes through [`par_map`] unchanged, so the
 /// fault-free/unbudgeted path keeps the crate's determinism contract
 /// bit-for-bit. Under an active budget the *content* of the returned
 /// prefix is still deterministic (same chunk decomposition, results merged
-/// in chunk order); only its *length* can vary for wall-clock budgets,
-/// which is inherent to deadlines.
+/// in chunk order); its *length* can vary for wall-clock budgets, which
+/// is inherent to deadlines — and for nothing else.
 ///
 /// Each completed chunk charges its item count to the budget's row
-/// dimension, so row caps bind without any cooperation from `f`.
+/// dimension, so row caps bind without any cooperation from `f`. A row
+/// cap admits chunks **in chunk order**: chunk `i` runs iff the rows
+/// charged before the call plus the `i` full chunks ahead of it are still
+/// under the cap. That count is fixed before any worker starts — a poll
+/// of the running charge would race the workers that feed it (two of them
+/// can both read "under the cap" before either has charged) — so a capped
+/// answer is the same prefix at every thread count.
 pub fn par_map_budgeted<T, R, F>(items: &[T], budget: &Budget, f: F) -> Partial<R>
 where
     T: Sync,
@@ -457,6 +463,19 @@ where
     let chunk = chunk_size(n);
     let nchunks = n.div_ceil(chunk);
     let threads = num_threads().min(nchunks);
+    // Chunks the row cap admits; every chunk ahead of an admitted one is
+    // full, so the charge at its turn is known without reading it.
+    let row_admit = budget.row_cap().map_or(nchunks, |cap| {
+        let left = cap.saturating_sub(budget.rows_charged());
+        left.div_ceil(chunk as u64).min(nchunks as u64) as usize
+    });
+    // The admitted chunks together stay under the cap, so for them
+    // `exceeded` can only report a deadline, a cancellation or memory.
+    let stop_before = |i: usize| {
+        budget
+            .exceeded()
+            .or((i >= row_admit).then_some(DegradeReason::RowCapExceeded))
+    };
     let stop_reason: Mutex<Option<DegradeReason>> = Mutex::new(None);
     let note_stop = |r: DegradeReason| {
         let mut g = stop_reason.lock().unwrap_or_else(PoisonError::into_inner);
@@ -464,8 +483,8 @@ where
     };
     if threads <= 1 {
         let mut out = Vec::with_capacity(n);
-        for c in items.chunks(chunk) {
-            if let Some(r) = budget.exceeded() {
+        for (i, c) in items.chunks(chunk).enumerate() {
+            if let Some(r) = stop_before(i) {
                 note_stop(r);
                 break;
             }
@@ -484,7 +503,7 @@ where
     }
     let slots: Vec<Mutex<Option<Vec<R>>>> = (0..nchunks).map(|_| Mutex::new(None)).collect();
     run_chunked(nchunks, threads, |i| {
-        if let Some(r) = budget.exceeded() {
+        if let Some(r) = stop_before(i) {
             note_stop(r);
             return;
         }
@@ -757,6 +776,40 @@ mod tests {
         assert_eq!(parallel.completed % chunk, 0);
         assert_eq!(serial.value[..], items[..serial.completed]);
         assert_eq!(parallel.value[..], items[..parallel.completed]);
+    }
+
+    #[test]
+    fn a_row_cap_admits_the_same_chunks_at_every_thread_count() {
+        let items: Vec<u64> = (0..10_000).collect();
+        let chunk = chunk_size(items.len());
+        for (cap, charged) in [
+            (1u64, 0u64),
+            (255, 0),
+            (256, 0),
+            (257, 0),
+            (257, 100),
+            (5_000, 0),
+            (5_000, 4_999),
+            (5_000, 5_000),
+        ] {
+            let admitted = (cap - charged).div_ceil(chunk as u64) as usize;
+            let want = (admitted * chunk).min(items.len());
+            for threads in [1, 2, 4, 8] {
+                for _ in 0..200 {
+                    let budget = Budget::unlimited().with_row_cap(cap);
+                    budget.charge_rows(charged);
+                    let part =
+                        with_thread_override(threads, || par_map_budgeted(&items, &budget, |&x| x));
+                    assert_eq!(
+                        part.completed, want,
+                        "cap {cap}, {charged} charged, {threads} thread(s)"
+                    );
+                    assert_eq!(part.value[..], items[..want]);
+                    assert_eq!(part.interrupted, Some(DegradeReason::RowCapExceeded));
+                    assert_eq!(budget.rows_charged(), charged + want as u64);
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,8 +102,9 @@ pub struct QueryTrace {
     start: Instant,
     nanos: [AtomicU64; NSTAGES],
     items: [AtomicU64; NSTAGES],
-    /// Executed plan steps in execution order (empty when the greedy
-    /// non-planned path ran, or the trace is disabled).
+    /// Executed plan steps in execution order. Only cost-based plans
+    /// are recorded: empty when the query had nothing but single-pattern
+    /// groups, ran under the greedy engine, or the trace is disabled.
     plan_steps: Mutex<Vec<PlanStepTrace>>,
 }
 
@@ -194,15 +195,15 @@ impl QueryTrace {
         }
     }
 
-    /// The executed plan steps recorded so far (empty when the greedy
-    /// path ran or the trace is disabled).
+    /// The executed plan steps recorded so far (see the field for when
+    /// there are none).
     pub fn plan_steps(&self) -> Vec<PlanStepTrace> {
         self.plan_steps.lock().unwrap().clone()
     }
 
     /// An ASCII table of executed plan steps with estimated vs. actual
     /// output rows per step, or the empty string when no plan steps were
-    /// recorded (single-pattern / greedy queries). Rendered by
+    /// recorded (single-pattern queries, the greedy engine). Rendered by
     /// `wodex explain` below the stage table.
     pub fn render_plan_table(&self) -> String {
         let steps = self.plan_steps();

@@ -60,7 +60,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 use wodex_rdf::Term;
 use wodex_sparql::results::json_string as js;
-use wodex_sparql::{Budget, Degraded, EvalOptions, QueryResult, QueryTrace, Stage};
+use wodex_sparql::{Budget, Degraded, Engine, QueryResult, QueryTrace, Stage};
 
 /// Entries per chunk when streaming overview rows / histogram bins.
 const STREAM_GROUP: usize = 16;
@@ -327,10 +327,12 @@ fn stats(state: &AppState, out: &mut TcpStream) {
 /// then the tail, then trailers carrying the degradation verdict. The
 /// reassembled body is byte-identical to `QueryResult::to_json`.
 ///
-/// An optional `engine` parameter selects the evaluation path —
-/// `wco` (the default: planner + multiway joins on cyclic groups),
-/// `pairwise` (planner only), or `greedy` (the reference engine) —
-/// useful for A/B-ing plans in place; the engines answer identically.
+/// An optional `engine` parameter selects how multi-pattern groups are
+/// planned — `wco` (the default: cost-based plans, multiway joins on
+/// cyclic groups) or `pairwise` (cost-based plans, pairwise operators
+/// only) — useful for A/B-ing plans in place; the engines answer
+/// identically. The greedy reference engine is a test oracle, not a
+/// serving option.
 ///
 /// Outside coordinator mode the query runs against the live store's
 /// current MVCC snapshot; the `X-Wodex-Revision` response header names
@@ -348,21 +350,14 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
         bad_request(state, out, "empty query (send it as the POST body)");
         return;
     }
-    let opts = match req.param("engine").unwrap_or("wco") {
-        "wco" => EvalOptions::default(),
-        "pairwise" => EvalOptions {
-            use_planner: true,
-            use_wco: false,
-        },
-        "greedy" => EvalOptions {
-            use_planner: false,
-            use_wco: false,
-        },
+    let engine = match req.param("engine").unwrap_or("wco") {
+        "wco" => Engine::Wco,
+        "pairwise" => Engine::Pairwise,
         other => {
             bad_request(
                 state,
                 out,
-                &format!("unknown engine {other:?} (expected wco, pairwise, or greedy)"),
+                &format!("unknown engine {other:?} (expected one of: wco, pairwise)"),
             );
             return;
         }
@@ -376,7 +371,7 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
     // converge on (result, degraded) and stream identically, the
     // coordinator adding a per-shard report trailer.
     let (result, degraded, shard_wire, revision) = if let Some(coord) = &state.coordinator {
-        match coord.query_traced_with(text, &budget, &trace, opts) {
+        match coord.query_traced_with(text, &budget, &trace, engine) {
             Ok(c) => {
                 let wire = c
                     .shards
@@ -393,7 +388,7 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
         }
     } else {
         let snap = state.live.snapshot();
-        match wodex_sparql::query_traced_with(snap.store(), text, &budget, &trace, opts) {
+        match wodex_sparql::query_traced_with(snap.store(), text, &budget, &trace, engine) {
             Ok(b) => (b.result, b.degraded, None, Some(snap.revision())),
             Err(e) => {
                 bad_request(state, out, &e.to_string());

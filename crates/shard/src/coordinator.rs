@@ -31,7 +31,7 @@ use std::time::Instant;
 use wodex_rdf::Graph;
 use wodex_sparql::{
     compose_degraded, merge_coverage, parse_query, scan_patterns, slice_deadline, Budget, Degraded,
-    EvalOptions, QueryError, QueryResult, QueryTrace, ScanPattern, ShardOutcome, Stage,
+    Engine, QueryError, QueryResult, QueryTrace, ScanPattern, ShardOutcome, Stage,
 };
 use wodex_store::{Route, ShardMap, TripleStore};
 
@@ -134,7 +134,7 @@ impl Coordinator {
         text: &str,
         budget: &Budget,
         trace: &QueryTrace,
-        opts: EvalOptions,
+        engine: Engine,
     ) -> Result<CoordinatedResult, QueryError> {
         let q = {
             let _span = trace.span(Stage::Parse);
@@ -195,7 +195,7 @@ impl Coordinator {
 
         // Gather → local store → ordinary full evaluation.
         let store = TripleStore::from_graph(&graph);
-        let local = wodex_sparql::evaluate_with(&store, &q, budget, trace, opts)?;
+        let local = wodex_sparql::evaluate_with(&store, &q, budget, trace, engine)?;
         Ok(CoordinatedResult {
             result: local.result,
             degraded: compose_degraded(scatter_verdict, local.degraded),
@@ -289,7 +289,7 @@ mod tests {
                 "SELECT ?s WHERE { ?s ?p ?o }",
                 &Budget::unlimited(),
                 &trace,
-                EvalOptions::default(),
+                Engine::default(),
             )
             .expect("parse is fine, failure degrades");
         let d = r.degraded.expect("all shards down must degrade");
@@ -310,7 +310,7 @@ mod tests {
                 "SELECT WHERE garbage",
                 &Budget::unlimited(),
                 &trace,
-                EvalOptions::default(),
+                Engine::default(),
             )
             .is_err());
     }

@@ -342,6 +342,7 @@ mod tests {
     }
 
     fn rows(store: &TripleStore, text: &str) -> Vec<String> {
+        let _guard = crate::plan::plan_cache_test_lock();
         let q = parse_query(text).unwrap();
         let mut out: Vec<String> = match evaluate(store, &q).unwrap() {
             QueryResult::Solutions(t) => t.rows.iter().map(|r| format!("{r:?}")).collect(),

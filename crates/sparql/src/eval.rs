@@ -1,16 +1,15 @@
-//! The query evaluator.
+//! The query evaluator: everything around the joins.
 //!
-//! BGP evaluation compiles each triple pattern onto the store's
-//! permutation indexes. Join ordering is greedy: at each step the engine
-//! picks the remaining pattern with the most positions bound (constants +
-//! already-bound variables), breaking ties by the store's match count for
-//! the constant-only pattern — the classic selectivity heuristic. Filters
-//! are applied as soon as their variables are bound, and `LIMIT`-only
-//! queries terminate early.
+//! Rewrites the query ([`crate::algebra`]), lays out the solution row,
+//! expands UNION blocks into pattern groups, hands every group and every
+//! OPTIONAL block to the one BGP executor ([`crate::plan`]) — which
+//! applies filters as soon as their variables are bound and stops early
+//! for `LIMIT`-only queries — then runs the filters over optional
+//! variables, aggregation, ordering, and the final term decode.
 
 use crate::ast::*;
 use crate::parser::ParseError;
-use crate::plan::{compile_filters, planned_join, CompiledFilter, CompiledPattern};
+use crate::plan::{join_group, left_join, Engine, ExecCx};
 use crate::results::{QueryResult, SolutionTable};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -103,7 +102,7 @@ pub(crate) struct DegradeState {
 }
 
 impl DegradeState {
-    fn new() -> DegradeState {
+    pub(crate) fn new() -> DegradeState {
         DegradeState {
             reason: None,
             coverage: 1.0,
@@ -140,31 +139,6 @@ impl DegradeState {
     }
 }
 
-/// Evaluation knobs, threaded through every entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Use the cost-based planner ([`crate::plan`]) for multi-pattern
-    /// groups (the default). When `false`, every group runs the greedy
-    /// index-nested-loop path — kept as the reference implementation
-    /// for equivalence tests and planner benchmarks.
-    pub use_planner: bool,
-    /// Allow the worst-case-optimal multiway join ([`crate::wco`]) on
-    /// cyclic pattern groups (the default). Only consulted when
-    /// `use_planner` is on; part of the plan-cache key, so toggling it
-    /// at runtime can never be served a plan built for the other
-    /// engine.
-    pub use_wco: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            use_planner: true,
-            use_wco: true,
-        }
-    }
-}
-
 /// Evaluates a parsed query against a store with no budget.
 pub fn evaluate(store: &TripleStore, q: &Query) -> Result<QueryResult, QueryError> {
     static UNLIMITED: Budget = Budget::unlimited();
@@ -197,22 +171,22 @@ pub fn evaluate_traced(
     budget: &Budget,
     trace: &QueryTrace,
 ) -> Result<BudgetedResult, QueryError> {
-    evaluate_with(store, q, budget, trace, EvalOptions::default())
+    evaluate_with(store, q, budget, trace, Engine::default())
 }
 
-/// [`evaluate_traced`] with explicit [`EvalOptions`].
+/// [`evaluate_traced`] with an explicit [`Engine`].
 pub fn evaluate_with(
     store: &TripleStore,
     q: &Query,
     budget: &Budget,
     trace: &QueryTrace,
-    opts: EvalOptions,
+    engine: Engine,
 ) -> Result<BudgetedResult, QueryError> {
     let m = sparql_metrics();
     m.queries.inc();
     let mut deg = DegradeState::new();
     let out =
-        evaluate_inner(store, q, budget, &mut deg, trace, opts).map(|result| BudgetedResult {
+        evaluate_inner(store, q, budget, &mut deg, trace, engine).map(|result| BudgetedResult {
             result,
             degraded: deg.into_degraded(),
         });
@@ -230,7 +204,7 @@ fn evaluate_inner(
     budget: &Budget,
     deg: &mut DegradeState,
     trace: &QueryTrace,
-    opts: EvalOptions,
+    engine: Engine,
 ) -> Result<QueryResult, QueryError> {
     let plan_span = trace.span(Stage::Plan);
     // Algebra rewrites (constant propagation, projection pruning,
@@ -270,22 +244,6 @@ fn evaluate_inner(
             .any(|p| matches!(p, Projection::Aggregate(_, _))),
         QueryForm::Ask | QueryForm::Describe(_) => false,
     };
-    let ask = matches!(q.form, QueryForm::Ask);
-    // Early termination is safe when the row stream is the output stream.
-    let early_limit = if ask {
-        Some(1)
-    } else if q.group_by.is_empty()
-        && q.order_by.is_empty()
-        && !has_aggregates
-        && q.optionals.is_empty()
-        && q.unions.is_empty()
-        && !matches!(q.form, QueryForm::Select { distinct: true, .. })
-    {
-        q.limit.map(|l| l + q.offset)
-    } else {
-        None
-    };
-
     // Split filters: those only over required/union variables run inside
     // the join; those mentioning optional variables run after the left
     // joins (unbound variables make them errors→false, per SPARQL).
@@ -299,6 +257,24 @@ fn evaluate_inner(
         .filters
         .iter()
         .partition(|f| expr_vars(f).iter().any(|v| optional_vars.contains(v)));
+
+    let ask = matches!(q.form, QueryForm::Ask);
+    // Early termination is safe when the row stream is the output stream.
+    // ASK needs one row of it — but a filter over optional variables can
+    // still reject that row, so then every required row must reach it.
+    let early_limit = if ask {
+        post_filters.is_empty().then_some(1)
+    } else if q.group_by.is_empty()
+        && q.order_by.is_empty()
+        && !has_aggregates
+        && q.optionals.is_empty()
+        && q.unions.is_empty()
+        && !matches!(q.form, QueryForm::Select { distinct: true, .. })
+    {
+        q.limit.map(|l| l.saturating_add(q.offset))
+    } else {
+        None
+    };
 
     // Expand UNION blocks into pattern combinations (bag union of rows).
     let mut combos: Vec<Vec<TriplePattern>> = vec![q.patterns.clone()];
@@ -314,74 +290,27 @@ fn evaluate_inner(
         combos = next;
     }
     drop(plan_span);
+    // Every pattern group reaches the same executor; which builder plans
+    // it is the engine's business.
+    let cx = ExecCx {
+        store,
+        var_idx: &var_idx,
+        budget,
+        trace,
+    };
     let mut rows: Vec<Row> = Vec::new();
-    let initial = vec![vec![None; vars.len()]];
     for combo in &combos {
-        // Multi-pattern groups go through the cost-based planner; the
-        // greedy path stays for single patterns (where there is nothing
-        // to order) and as the reference engine when the planner is off.
-        if opts.use_planner && combo.len() >= 2 {
-            rows.extend(planned_join(
-                store,
-                combo,
-                &bgp_filters,
-                &var_idx,
-                early_limit,
-                budget,
-                deg,
-                trace,
-                opts.use_wco,
-            ));
-        } else {
-            rows.extend(join_bgp(
-                store,
-                combo,
-                &bgp_filters,
-                initial.clone(),
-                &var_idx,
-                early_limit,
-                budget,
-                deg,
-                trace,
-            )?);
-        }
+        rows.extend(join_group(
+            &cx,
+            deg,
+            engine,
+            combo,
+            &bgp_filters,
+            early_limit,
+        ));
     }
-    // Left-join each OPTIONAL block.
     for block in &q.optionals {
-        let total = rows.len();
-        let mut next = Vec::with_capacity(rows.len());
-        for (i, row) in rows.into_iter().enumerate() {
-            // One budget poll per left-joined row; on a trip the processed
-            // prefix survives (every kept row is fully left-joined — a row
-            // kept *without* attempting the join could wrongly report its
-            // optional variables unbound).
-            if !deg.active() && !budget.is_unlimited() {
-                if let Some(reason) = budget.exceeded() {
-                    deg.trip(reason, i as f64 / total.max(1) as f64);
-                    break;
-                }
-            }
-            let matched = join_bgp(
-                store,
-                block,
-                &[],
-                vec![row.clone()],
-                &var_idx,
-                None,
-                budget,
-                deg,
-                trace,
-            )?;
-            if matched.is_empty() {
-                next.push(row);
-            } else {
-                next.extend(matched);
-            }
-        }
-        rows = next;
-        if deg.active() {
-            deg.sample(&mut rows);
-        }
+        rows = left_join(&cx, deg, block, rows);
     }
     // Residual filters (mentioning optional variables), evaluated in
     // parallel over the solution table (order-preserving keep flags).
@@ -514,178 +443,6 @@ pub(crate) fn retain_parallel<T: Sync>(rows: &mut Vec<T>, pred: impl Fn(&T) -> b
     let keep = wodex_exec::par_map(rows.as_slice(), |row| pred(row));
     let mut flags = keep.into_iter();
     rows.retain(|_| flags.next().expect("one flag per row"));
-}
-
-/// Greedy-ordered BGP join with filter pushdown and optional early stop,
-/// starting from a set of initial (possibly partially bound) rows.
-///
-/// Budget handling: with an unlimited budget the probe stages are the
-/// PR-1 parallel paths, untouched. Under an active budget each stage runs
-/// through [`wodex_exec::par_map_budgeted`]; on a trip the completed
-/// prefix of bindings is sampled down and the remaining patterns join in
-/// grace mode — every emitted row is still a real solution.
-#[allow(clippy::too_many_arguments)]
-fn join_bgp(
-    store: &TripleStore,
-    patterns: &[TriplePattern],
-    filters: &[&Expr],
-    initial: Vec<Row>,
-    var_idx: &HashMap<&str, usize>,
-    early_limit: Option<usize>,
-    budget: &Budget,
-    deg: &mut DegradeState,
-    trace: &QueryTrace,
-) -> Result<Vec<Row>, QueryError> {
-    if patterns.is_empty() {
-        return Ok(initial);
-    }
-    let nvars = var_idx.len();
-    // Compile patterns and filters once: constants intern a single time
-    // and variables resolve to row positions, so the per-row probe below
-    // touches only positional arrays. A constant missing from the
-    // dictionary means zero matches overall.
-    let plan_span = trace.span(Stage::Plan);
-    let compiled: Option<Vec<CompiledPattern>> = patterns
-        .iter()
-        .map(|p| CompiledPattern::compile(store, p, var_idx))
-        .collect();
-    let Some(compiled) = compiled else {
-        return Ok(Vec::new());
-    };
-    let base_counts: Vec<usize> = compiled
-        .iter()
-        .map(|c| store.count_pattern(c.base()))
-        .collect();
-    let mut pending_filters: Vec<CompiledFilter<'_>> = compile_filters(store, filters, var_idx);
-    drop(plan_span);
-
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    // Variables bound by the initial rows count as bound for ordering.
-    let mut bound: Vec<bool> = (0..nvars)
-        .map(|i| initial.iter().any(|r| r[i].is_some()))
-        .collect();
-    let mut rows: Vec<Row> = initial;
-
-    while !remaining.is_empty() {
-        // Pick the most selective next pattern.
-        let (pos, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &pi)| {
-                let p = &patterns[pi];
-                let bound_positions = [&p.s, &p.p, &p.o]
-                    .into_iter()
-                    .filter(|t| match t {
-                        TermOrVar::Term(_) => true,
-                        // A pruned variable is unconstrained — not bound.
-                        TermOrVar::Var(v) => var_idx.get(v.as_str()).is_some_and(|&i| bound[i]),
-                    })
-                    .count();
-                // More bound positions first; then smaller base count.
-                (bound_positions, std::cmp::Reverse(base_counts[pi]))
-            })
-            .expect("remaining non-empty");
-        let pi = remaining.remove(pos);
-        let pattern = &patterns[pi];
-        let cp = &compiled[pi];
-
-        // Extends one solution row with every store match of the pattern.
-        // Matches stream chunk-by-chunk (from cached segment blocks when
-        // the store has a segment base) instead of materializing the
-        // full match vector per row; chunk concatenation is exactly
-        // `match_pattern`, so join output is unchanged.
-        let probe = |row: &Row| -> Vec<Row> {
-            let mut extended = Vec::new();
-            store.match_pattern_chunks(cp.fill(row), &mut |chunk| {
-                for t in chunk {
-                    if let Some(new_row) = cp.bind(row, t) {
-                        extended.push(new_row);
-                    }
-                }
-                true
-            });
-            extended
-        };
-        // Only the final pattern's output is the row stream; intermediate
-        // stages must not truncate.
-        let truncating =
-            early_limit.is_some() && remaining.is_empty() && pending_filters.is_empty();
-        let probe_span = trace.span(Stage::BgpProbe);
-        rows = if truncating {
-            // Serial probe with early stop: no point extending further rows
-            // once the limit's worth of solutions exists. The parallel path
-            // followed by `truncate` would return the same rows (partitions
-            // merge in row order), just with wasted work.
-            let lim = early_limit.expect("truncating implies a limit");
-            let budgeted = !budget.is_unlimited() && !deg.active();
-            let total = rows.len();
-            let mut next_rows = Vec::new();
-            'rows: for (i, row) in rows.iter().enumerate() {
-                if budgeted {
-                    if let Some(reason) = budget.exceeded() {
-                        deg.trip(reason, i as f64 / total.max(1) as f64);
-                        break 'rows;
-                    }
-                }
-                for new_row in probe(row) {
-                    next_rows.push(new_row);
-                    if next_rows.len() >= lim {
-                        break 'rows;
-                    }
-                }
-            }
-            next_rows
-        } else if budget.is_unlimited() || deg.active() {
-            // Parallel probe of the solution table: per-row extension lists
-            // are computed in partitions and flattened in row order, so the
-            // join output is identical at every thread count. (Grace mode
-            // also lands here: the sampled rows finish without more
-            // checks, so a tripped deadline cannot starve the answer to
-            // nothing.)
-            wodex_exec::par_map(&rows, probe)
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            let total = rows.len();
-            let part = wodex_exec::par_map_budgeted(&rows, budget, probe);
-            let interrupted = part.interrupted;
-            let stage_cov = part.coverage(total);
-            let mut flat: Vec<Row> = part.value.into_iter().flatten().collect();
-            if let Some(reason) = interrupted {
-                deg.trip(reason, stage_cov);
-                deg.sample(&mut flat);
-            }
-            flat
-        };
-        drop(probe_span);
-        trace.add_items(Stage::BgpProbe, rows.len() as u64);
-        sparql_metrics().rows_probed.add(rows.len() as u64);
-        for v in pattern.vars() {
-            if let Some(&i) = var_idx.get(v) {
-                bound[i] = true;
-            }
-        }
-        // Apply filters whose variables are now bound (parallel,
-        // order-preserving keep flags).
-        pending_filters.retain(|f| {
-            let ready = f.vars.iter().all(|&v| bound[v]);
-            if ready {
-                let _filter_span = trace.span(Stage::Filter);
-                retain_parallel(&mut rows, |row| f.matches(store, row, var_idx));
-            }
-            !ready
-        });
-        if let Some(lim) = early_limit {
-            if remaining.is_empty() && pending_filters.is_empty() {
-                rows.truncate(lim);
-            }
-        }
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    Ok(rows)
 }
 
 /// Sorts rows in place by the query's ORDER BY keys (pattern variables).
@@ -1092,6 +849,7 @@ mod tests {
     }
 
     fn run(q: &str) -> QueryResult {
+        let _guard = crate::plan::plan_cache_test_lock();
         let st = store();
         crate::query(&st, q).unwrap()
     }
@@ -1372,6 +1130,100 @@ mod tests {
         assert_eq!(r.table().unwrap().rows[0][0], Some(Term::integer(2)));
     }
 
+    #[test]
+    fn ask_reads_every_row_a_filter_over_optional_variables_may_reject() {
+        // ASK stops at one row — of the output stream. A filter over an
+        // optional variable still thins the required rows, so whichever
+        // of them comes first, one of these two used to see only a row
+        // its filter rejects (alice knows someone; dave does not).
+        let st = store();
+        for engine in Engine::ALL {
+            for filter in ["BOUND(?f)", "!BOUND(?f)"] {
+                let q = parse_query(&format!(
+                    "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\
+                     PREFIX ex: <http://e.org/>\n\
+                     ASK {{ ?s ex:age ?a OPTIONAL {{ ?s foaf:knows ?f }} FILTER({filter}) }}"
+                ))
+                .unwrap();
+                let out = evaluate_with(
+                    &st,
+                    &q,
+                    &Budget::unlimited(),
+                    &QueryTrace::disabled(),
+                    engine,
+                )
+                .unwrap();
+                assert_eq!(out.result.boolean(), Some(true), "{engine:?} {filter}");
+            }
+        }
+    }
+
+    #[test]
+    fn limit_plus_offset_saturates_instead_of_wrapping() {
+        // usize::MAX + 2 wraps to 1 in a release build (one row, which
+        // OFFSET then skips) and panics in a debug build.
+        let r = run(&format!(
+            "PREFIX ex: <http://e.org/> SELECT ?s WHERE {{ ?s ex:age ?a }} LIMIT {} OFFSET 1",
+            usize::MAX
+        ));
+        assert_eq!(r.table().unwrap().len(), 3, "four ages, one skipped");
+        let r = run("PREFIX ex: <http://e.org/> SELECT ?s WHERE { ?s ex:age ?a } LIMIT 0");
+        assert!(r.table().unwrap().is_empty());
+        let r = run("PREFIX ex: <http://e.org/> SELECT ?s WHERE { ?s ex:age ?a } LIMIT 0 OFFSET 3");
+        assert!(r.table().unwrap().is_empty());
+    }
+
+    /// A base region that counts how often it is asked for an exact
+    /// pattern count — what the greedy builder's tie-break costs.
+    #[derive(Debug)]
+    struct CountingBase {
+        inner: TripleStore,
+        counts: std::sync::atomic::AtomicUsize,
+    }
+
+    impl wodex_store::SegmentSource for CountingBase {
+        fn source_len(&self) -> usize {
+            self.inner.source_len()
+        }
+        fn scan(
+            &self,
+            pat: Pattern,
+        ) -> Result<Vec<wodex_store::EncodedTriple>, wodex_store::StoreError> {
+            self.inner.scan(pat)
+        }
+        fn estimate(&self, pat: Pattern) -> usize {
+            self.inner.estimate(pat)
+        }
+        fn source_stats(&self) -> wodex_store::StoreStats {
+            self.inner.source_stats()
+        }
+        fn count(&self, pat: Pattern) -> Result<usize, wodex_store::StoreError> {
+            self.counts
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.count(pat)
+        }
+    }
+
+    #[test]
+    fn an_optional_block_is_compiled_and_counted_once_not_once_per_left_row() {
+        let inner = big_store(1000);
+        let dict = inner.dict().clone();
+        let base = Arc::new(CountingBase {
+            inner,
+            counts: Default::default(),
+        });
+        let st = TripleStore::with_base(dict, base.clone());
+        let text = "PREFIX ex: <http://e.org/>\n\
+             SELECT ?s ?a ?t WHERE { ?s ex:age ?a OPTIONAL { ?s a ?t . ?s ex:age ?a } }";
+        let r = crate::query(&st, text).unwrap();
+        let table = r.table().unwrap();
+        assert_eq!(table.len(), 1000, "every left row matched once");
+        assert!(table.rows.iter().all(|row| row[2].is_some()));
+        // One count per pattern of the two-pattern block; the lone
+        // required pattern has no tie to break.
+        assert_eq!(base.counts.load(std::sync::atomic::Ordering::Relaxed), 2);
+    }
+
     /// A store big enough that budget chunking actually engages.
     fn big_store(subjects: u32) -> TripleStore {
         let mut g = Graph::new();
@@ -1470,6 +1322,7 @@ mod tests {
     fn join_matches_nested_loop_reference() {
         // Cross-check the greedy engine against a naive nested-loop join
         // on a two-pattern query.
+        let _guard = crate::plan::plan_cache_test_lock();
         let st = store();
         let q = parse_query(
             "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n\

@@ -19,24 +19,34 @@
 //! * `ORDER BY` (`ASC`/`DESC`), `LIMIT` / `OFFSET`,
 //! * `PREFIX` declarations and numeric/boolean literal abbreviations.
 //!
-//! The engine ([`eval`]) compiles BGPs onto the store's pattern indexes,
-//! applies filters as soon as their variables bind, and supports **early
-//! termination** for `LIMIT`-only queries — the incremental-result
-//! behaviour §2 asks of exploratory interfaces. Multi-pattern groups are
-//! ordered by the cost-based planner ([`plan`]): join orders are costed
-//! with the store's O(1) cardinality statistics, each step picks a
-//! batched merge or hash join (falling back to per-row index probes),
-//! and plans are cached by abstract query shape. The greedy path remains
-//! as the reference engine ([`eval::EvalOptions`]).
+//! There is **one BGP executor** ([`plan`]): a single step loop joins
+//! every pattern group — required groups, UNION combinations, OPTIONAL
+//! blocks — compiled onto the store's pattern indexes, applies filters
+//! as soon as their variables bind, and supports **early termination**
+//! for `LIMIT`-only queries — the incremental-result behaviour §2 asks
+//! of exploratory interfaces. Under it, one stage driver is the only
+//! place a join meets the [`Budget`]: an over-budget stage keeps its
+//! completed prefix and the answer comes back flagged [`Degraded`],
+//! coarser instead of failed.
 //!
-//! Two layers run above and below the pairwise planner. Before any plan
-//! work, an algebra rewrite pass ([`algebra`]) folds `FILTER(?v = <iri>)`
-//! equalities into pattern constants, reorders UNION/OPTIONAL blocks
-//! cheapest-first, and prunes never-observed variables from the row
-//! layout. And when a pattern group's join graph is *cyclic* — triangles,
-//! cliques, the shapes pairwise plans are provably bad at — the planner
-//! hands the whole group to a worst-case-optimal multiway join ([`wco`]),
-//! a leapfrog triejoin over the store's sorted-prefix cursors.
+//! What the loop runs comes from **two plan builders**, selected by
+//! [`Engine`]. The cost-based builder orders multi-pattern groups with
+//! the store's O(1) cardinality statistics, picks a batched merge or
+//! hash join per step (falling back to per-row index probes), caches
+//! plans by abstract query shape, and — when a group's join graph is
+//! *cyclic*: triangles, cliques, the shapes pairwise plans are provably
+//! bad at — adds a worst-case-optimal multiway step ([`wco`]), a leapfrog
+//! triejoin over the store's sorted-prefix cursors. The greedy builder
+//! ("most bound positions, then smallest base count", per-row probes
+//! only) plans single patterns and OPTIONAL blocks, and whole queries
+//! under [`Engine::Greedy`], the reference the differential suites
+//! compare the other two engines against.
+//!
+//! Before any plan work, an algebra rewrite pass ([`algebra`]) folds
+//! `FILTER(?v = <iri>)` equalities into pattern constants, reorders
+//! UNION/OPTIONAL blocks cheapest-first, and prunes never-observed
+//! variables from the row layout; [`eval`] does everything around the
+//! joins (row layout, post-filters, aggregation, ordering, decode).
 
 pub mod algebra;
 pub mod ast;
@@ -52,11 +62,10 @@ pub use dist::{
     compose_degraded, merge_coverage, scan_patterns, slice_deadline, ScanPattern, ShardOutcome,
 };
 pub use eval::{
-    evaluate, evaluate_budgeted, evaluate_traced, evaluate_with, BudgetedResult, EvalOptions,
-    QueryError,
+    evaluate, evaluate_budgeted, evaluate_traced, evaluate_with, BudgetedResult, QueryError,
 };
 pub use parser::parse_query;
-pub use plan::{plan_cache_stats, Plan, PlanOp, PlanStep};
+pub use plan::{plan_cache_stats, Engine, Plan, PlanOp, PlanStep};
 pub use results::{QueryResult, SolutionTable};
 pub use wodex_obs::{QueryTrace, Stage};
 pub use wodex_resilience::{Budget, DegradeReason, Degraded};
@@ -101,18 +110,18 @@ pub fn query_traced(
     evaluate_traced(store, &q, budget, trace)
 }
 
-/// [`query_traced`] with explicit [`EvalOptions`] — the serving layer's
-/// entry point for its `engine=` selector (greedy / pairwise / wco).
+/// [`query_traced`] with an explicit [`Engine`] — the serving layer's
+/// entry point for its `engine=` selector, and the differential suites'.
 pub fn query_traced_with(
     store: &TripleStore,
     text: &str,
     budget: &Budget,
     trace: &QueryTrace,
-    opts: EvalOptions,
+    engine: Engine,
 ) -> Result<BudgetedResult, QueryError> {
     let q = {
         let _parse_span = trace.span(Stage::Parse);
         parse_query(text).map_err(QueryError::Parse)?
     };
-    evaluate_with(store, &q, budget, trace, opts)
+    evaluate_with(store, &q, budget, trace, engine)
 }

@@ -1,26 +1,28 @@
-//! Cost-based BGP planning.
+//! BGP planning and execution: two plan builders, one executor.
 //!
-//! The greedy evaluator in [`crate::eval`] orders joins by "most bound
-//! positions, then smallest base count" and extends bindings with one
-//! store probe per row. That is robust but leaves two costs on the
-//! table for multi-pattern groups:
+//! Every pattern group of a query — each required group (one per UNION
+//! combination) and each OPTIONAL block — is joined by the same step
+//! loop, [`execute`], from a plan one of two builders made:
 //!
-//! * **Join order** is chosen without cardinality arithmetic — a
-//!   pattern with a huge base count but a highly selective shared
-//!   variable is indistinguishable from a genuinely expensive one.
-//!   This planner costs candidate orders with the store's O(1)
-//!   statistics ([`wodex_store::StoreStats`], prefix-range estimates)
-//!   and picks the cheapest connected extension at every step.
-//! * **Per-row probe overhead** — the greedy probe re-encodes the
-//!   pattern and walks the store's binary-search indexes once per
-//!   binding row. For a join step whose right side fits in memory it is
-//!   cheaper to materialize that side *once* (optionally already sorted
-//!   by the join key, straight off an SPO/POS/OSP run) and then join in
-//!   batches: a galloping merge against the sorted run, or a hash join
-//!   that builds the smaller side and probes the larger in
-//!   [`wodex_exec`] chunks.
+//! * [`build_plan`], **cost-based**: join orders are costed with the
+//!   store's O(1) statistics ([`wodex_store::StoreStats`], prefix-range
+//!   estimates) and the cheapest connected extension is taken at every
+//!   step; a step whose right side fits in memory materializes that
+//!   side *once* (optionally already sorted by the join key, straight
+//!   off an SPO/POS/OSP run) and joins in batches — a galloping merge
+//!   against the sorted run, or a hash join that builds the smaller
+//!   side — and a cyclic group gets a multiway companion step
+//!   ([`crate::wco`]). It plans every required group of two or more
+//!   patterns under [`Engine::Wco`] and [`Engine::Pairwise`].
+//! * [`greedy_plan`], **the reference**: "most bound positions, then
+//!   smallest exact base count", every step a per-row index probe,
+//!   nothing cached. It plans every group under [`Engine::Greedy`] —
+//!   what the differential suites compare the cost-based plans against
+//!   — and, under every engine, the groups where there is nothing to
+//!   cost: a single pattern, and an OPTIONAL block (joined row by row
+//!   from an already bound left side).
 //!
-//! Plans are cached by *shape*: the key abstracts constants to
+//! Cost-based plans are cached by *shape*: the key abstracts constants to
 //! [`ShapeSlot::Const`] and renumbers variables by first occurrence, so
 //! every query of the form `?a p1 C1 . ?a p2 ?b` shares one cached plan
 //! regardless of which constants or variable names it uses. The key
@@ -33,11 +35,14 @@
 //! commits land concurrently; each commit's new snapshot gets fresh
 //! keys instead of evicting its predecessor's plans wholesale.
 //!
-//! Execution preserves the evaluator's budget contract bit for bit:
-//! every operator polls the [`Budget`] at `wodex-exec` chunk
-//! granularity, a trip records the stage's completed fraction, samples
-//! the surviving rows, and lets the remaining steps finish in grace
-//! mode — every emitted row is a genuine solution (PR 2 semantics).
+//! The loop owns everything that is not join logic: filter pushdown,
+//! the early-limit rule, per-step row counts and trace spans. The
+//! operators hand their per-item closure to one stage driver,
+//! [`run_stage`], the only place a join stage meets the [`Budget`]: it
+//! polls at `wodex-exec` chunk granularity, and a trip records the
+//! stage's completed fraction, samples the surviving rows and lets the
+//! remaining steps finish in grace mode — every emitted row is a
+//! genuine solution.
 
 use crate::ast::{CompareOp, Expr, TermOrVar, TriplePattern};
 use crate::eval::{
@@ -231,19 +236,27 @@ impl CompiledPattern {
         self.slots.iter().position(|s| *s == Slot::Var(v))
     }
 
-    /// Global indexes of the variables this pattern mentions (deduped).
-    fn var_indexes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .slots
+    /// Global indexes of the variables this pattern binds (a variable
+    /// used twice comes twice).
+    fn vars(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().filter_map(|s| match s {
+            Slot::Var(i) => Some(*i),
+            Slot::Const(_) | Slot::Any => None,
+        })
+    }
+
+    /// How many positions a probe can constrain once the `bound`
+    /// variables have values: constants plus bound variables. A pruned
+    /// variable never has a value.
+    fn bound_positions(&self, bound: &[bool]) -> usize {
+        self.slots
             .iter()
-            .filter_map(|s| match s {
-                Slot::Var(i) => Some(*i),
-                Slot::Const(_) | Slot::Any => None,
+            .filter(|s| match s {
+                Slot::Const(_) => true,
+                Slot::Var(i) => bound[*i],
+                Slot::Any => false,
             })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+            .count()
     }
 }
 
@@ -451,18 +464,38 @@ pub enum ShapeSlot {
     Var(u16),
 }
 
-/// Plan-cache key: store revision, engine selection, and the group's
-/// abstract shape. The engine bit matters: a plan built with the
-/// multiway join disabled carries no [`WcoPlan`], so toggling
-/// [`crate::EvalOptions::use_wco`] at runtime must never be served a
-/// plan cached for the other setting. The revision doubles as a
+/// Which plan builder serves a query's pattern groups (see the module
+/// docs). The engines answer identically; they differ in join order and
+/// operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Engine {
+    /// Cost-based plans, with the worst-case-optimal multiway join
+    /// ([`crate::wco`]) on cyclic groups. The default.
+    #[default]
+    Wco,
+    /// Cost-based plans over the pairwise operators only.
+    Pairwise,
+    /// Greedy plans for every group: the reference the differential
+    /// suites hold the cost-based engines to.
+    Greedy,
+}
+
+impl Engine {
+    /// Every engine, for suites that compare them.
+    pub const ALL: [Engine; 3] = [Engine::Wco, Engine::Pairwise, Engine::Greedy];
+}
+
+/// Plan-cache key: store revision, engine, and the group's abstract
+/// shape. The engine matters: a plan built for [`Engine::Pairwise`]
+/// carries no multiway step, so switching engines at runtime must never
+/// be served a plan cached for the other one. The revision doubles as a
 /// snapshot pin: an MVCC snapshot's store never changes revision, so
 /// queries against a pinned snapshot keep hitting its cached plans
 /// while writers publish new snapshots under new revisions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     revision: u64,
-    wco: bool,
+    engine: Engine,
     shape: Vec<[ShapeSlot; 3]>,
 }
 
@@ -511,9 +544,13 @@ pub enum PlanOp {
         /// Local ids of the join variables.
         keys: Vec<u16>,
     },
-    /// No shared variable: per-row index probe (degenerates to a cross
-    /// product constrained only by the pattern's constants).
+    /// Per-row index probe. The cost-based builder picks it when no
+    /// variable is shared (a cross product constrained only by the
+    /// pattern's constants); the greedy builder emits nothing else.
     NestedLoop,
+    /// The multiway join over the *whole* group in one step — only ever
+    /// a plan's [`Plan::wco`] companion, never one of its `steps`.
+    Wco(WcoPlan),
 }
 
 impl PlanOp {
@@ -524,6 +561,7 @@ impl PlanOp {
             PlanOp::MergeJoin { .. } => "merge_join",
             PlanOp::HashJoin { .. } => "hash_join",
             PlanOp::NestedLoop => "nested_loop",
+            PlanOp::Wco(_) => "wco",
         }
     }
 }
@@ -544,12 +582,24 @@ fn op_kind_index(op: &str) -> usize {
 /// and the planner's output-cardinality estimate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanStep {
-    /// Index into the pattern group.
+    /// Index into the pattern group (unused by [`PlanOp::Wco`], which
+    /// joins all of it).
     pub pattern: usize,
     /// The operator.
     pub op: PlanOp,
-    /// Estimated rows after this step (from store statistics).
+    /// Estimated rows after this step (from store statistics; the
+    /// greedy builder does not estimate and leaves 0).
     pub est_rows: u64,
+}
+
+impl PlanStep {
+    /// The patterns of an `n`-pattern group this step joins in.
+    fn patterns(&self, n: usize) -> std::ops::Range<usize> {
+        match self.op {
+            PlanOp::Wco(_) => 0..n,
+            _ => self.pattern..self.pattern + 1,
+        }
+    }
 }
 
 /// A join order plus per-step operators for one pattern-group shape.
@@ -557,12 +607,12 @@ pub struct PlanStep {
 pub struct Plan {
     /// Steps in execution order; every pattern appears exactly once.
     pub steps: Vec<PlanStep>,
-    /// Companion multiway (worst-case-optimal) plan, attached when the
-    /// group's join graph is cyclic and the engine selection allows it.
-    /// The pairwise `steps` are always kept: the runtime guard in
-    /// [`planned_join`] may still pick them, so a cached WCO plan can
-    /// never regress below the pairwise operators.
-    pub wco: Option<WcoPlan>,
+    /// Companion multiway (worst-case-optimal) step, attached when the
+    /// group's join graph is cyclic and the engine allows it. The
+    /// pairwise `steps` are always kept: the runtime guard in
+    /// [`Plan::runnable`] may still pick them, so a cached multiway plan
+    /// can never regress below the pairwise operators.
+    pub wco: Option<PlanStep>,
 }
 
 /// A variable-elimination-order leapfrog-triejoin plan over the whole
@@ -580,9 +630,6 @@ pub struct WcoPlan {
     /// sort order the pattern's run is materialized in
     /// ([`TripleStore::match_pattern_sorted_lex`]).
     pub levels: Vec<Vec<(usize, usize)>>,
-    /// Estimated output rows (the pairwise plan's final estimate) —
-    /// the q-error baseline for the single `wco` step.
-    pub est_rows: u64,
     /// The pairwise plan's summed per-step estimates: the intermediate
     /// volume the runtime guard weighs multiway materialization against.
     pub pairwise_cost: u64,
@@ -738,7 +785,6 @@ fn build_wco(shape: &[[ShapeSlot; 3]], bases: &[f64], steps: &[PlanStep]) -> Opt
     Some(WcoPlan {
         elim,
         levels,
-        est_rows: steps.last().map(|s| s.est_rows).unwrap_or(0),
         pairwise_cost: steps.iter().map(|s| s.est_rows.max(1)).sum(),
     })
 }
@@ -758,7 +804,7 @@ fn build_plan(
     store: &TripleStore,
     shape: &[[ShapeSlot; 3]],
     compiled: &[CompiledPattern],
-    use_wco: bool,
+    engine: Engine,
 ) -> Plan {
     let stats = store.stats();
     let bases: Vec<f64> = compiled
@@ -864,11 +910,16 @@ fn build_plan(
             est_rows: current_rows.round() as u64,
         });
     }
-    let wco = if use_wco {
-        build_wco(shape, &bases, &steps)
-    } else {
-        None
-    };
+    // The multiway step's estimate is the pairwise plan's final one —
+    // the q-error baseline for the single `wco` step.
+    let wco = (engine == Engine::Wco)
+        .then(|| build_wco(shape, &bases, &steps))
+        .flatten()
+        .map(|wp| PlanStep {
+            pattern: 0,
+            op: PlanOp::Wco(wp),
+            est_rows: steps.last().map_or(0, |s| s.est_rows),
+        });
     Plan { steps, wco }
 }
 
@@ -904,18 +955,28 @@ pub fn plan_cache_stats() -> CacheStats {
         .stats()
 }
 
+/// Serializes the unit tests that reach [`plan_for`]: the cache and its
+/// counters are process-wide, and one of those tests pins exact deltas.
+/// A unit test that evaluates a required group of two or more patterns
+/// under a cost-based engine holds this guard while it does.
+#[cfg(test)]
+pub(crate) fn plan_cache_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Looks up (or builds and caches) the plan for a pattern group.
 fn plan_for(
     store: &TripleStore,
     shape: Vec<[ShapeSlot; 3]>,
     compiled: &[CompiledPattern],
-    use_wco: bool,
+    engine: Engine,
 ) -> Arc<Plan> {
     let m = plan_metrics();
     m.cache_lookups.inc();
     let key = PlanKey {
         revision: store.revision(),
-        wco: use_wco,
+        engine,
         shape,
     };
     if let Some(plan) = plan_cache()
@@ -929,7 +990,7 @@ fn plan_for(
     m.cache_misses.inc();
     // Build outside the lock: statistics reads can take microseconds on
     // a cold store and must not serialize concurrent queries.
-    let plan = Arc::new(build_plan(store, &key.shape, compiled, use_wco));
+    let plan = Arc::new(build_plan(store, &key.shape, compiled, engine));
     m.built.inc();
     plan_cache()
         .lock()
@@ -938,298 +999,481 @@ fn plan_for(
     plan
 }
 
-// ----- execution -----
+// ----- the reference builder -----
 
-/// Plans and executes one pattern combination. Same contract as the
-/// greedy `join_bgp`: starts from the all-unbound row, applies `filters`
-/// as soon as their variables bind, honors `early_limit` on the final
-/// step, and degrades under `budget` exactly like the greedy path
-/// (trip → sample → grace).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn planned_join(
+/// Compiles a group's patterns against the row layout; `None` when a
+/// constant is not in the dictionary (the group can match nothing).
+fn compile_group(
     store: &TripleStore,
-    combo: &[TriplePattern],
-    filters: &[&Expr],
+    patterns: &[TriplePattern],
     var_idx: &HashMap<&str, usize>,
-    early_limit: Option<usize>,
-    budget: &Budget,
-    deg: &mut DegradeState,
-    trace: &QueryTrace,
-    use_wco: bool,
-) -> Vec<Row> {
-    let plan_span = trace.span(Stage::Plan);
-    let compiled: Option<Vec<CompiledPattern>> = combo
+) -> Option<Vec<CompiledPattern>> {
+    patterns
         .iter()
         .map(|p| CompiledPattern::compile(store, p, var_idx))
-        .collect();
-    let Some(compiled) = compiled else {
-        // A constant missing from the dictionary: no matches possible.
+        .collect()
+}
+
+/// Exact constant-only match counts, the greedy builder's tie-break.
+/// A lone pattern has no tie to break and is not counted.
+fn base_counts(store: &TripleStore, compiled: &[CompiledPattern]) -> Vec<usize> {
+    if compiled.len() < 2 {
+        return vec![0; compiled.len()];
+    }
+    compiled
+        .iter()
+        .map(|c| store.count_pattern(c.base()))
+        .collect()
+}
+
+/// The reference plan builder — the classic selectivity heuristic: next
+/// comes the pattern with the most positions a probe can constrain
+/// (constants plus variables bound so far, `bound` seeding those the
+/// input rows already carry), ties going to the smallest base count.
+/// Every step is a per-row index probe. Cheap enough to run per query
+/// and per OPTIONAL left row, so nothing is cached.
+fn greedy_plan(
+    compiled: &[CompiledPattern],
+    counts: &[usize],
+    mut bound: Vec<bool>,
+) -> Vec<PlanStep> {
+    let mut remaining: Vec<usize> = (0..compiled.len()).collect();
+    let mut steps = Vec::with_capacity(compiled.len());
+    while !remaining.is_empty() {
+        let (pos, _) = remaining
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &pi)| {
+                (
+                    compiled[pi].bound_positions(&bound),
+                    std::cmp::Reverse(counts[pi]),
+                )
+            })
+            .expect("remaining non-empty");
+        let pattern = remaining.remove(pos);
+        for v in compiled[pattern].vars() {
+            bound[v] = true;
+        }
+        steps.push(PlanStep {
+            pattern,
+            op: PlanOp::NestedLoop,
+            est_rows: 0,
+        });
+    }
+    steps
+}
+
+// ----- execution -----
+
+/// What every join stage of one query shares.
+pub(crate) struct ExecCx<'a> {
+    pub(crate) store: &'a TripleStore,
+    /// The row layout: variable name → row slot.
+    pub(crate) var_idx: &'a HashMap<&'a str, usize>,
+    pub(crate) budget: &'a Budget,
+    pub(crate) trace: &'a QueryTrace,
+}
+
+/// Plan steps bound to the group they join: the patterns compiled
+/// against this query's row layout, and the row slot of each of the
+/// plan's shape-local variable ids (empty for greedy plans, whose
+/// probe steps name no variable).
+struct BoundPlan<'a> {
+    steps: &'a [PlanStep],
+    compiled: &'a [CompiledPattern],
+    local_to_global: &'a [usize],
+    /// Whether the last step may stop at the early limit instead of
+    /// running in full. True of greedy plans, whose row counts nobody
+    /// records; a cost-based step's output count is the `act=` its
+    /// estimate is held to, so it runs in full and is cut afterwards.
+    stops_early: bool,
+}
+
+impl Plan {
+    /// The steps to run against the live store. Runtime downgrade
+    /// discipline: the multiway join pays Σ|Pᵢ| up front to materialize
+    /// and sort every pattern, so it runs only when that cost is both
+    /// non-trivial and within `WCO_COST_SLACK` of the pairwise plan's
+    /// estimated intermediate volume — otherwise the cached pairwise
+    /// steps run unchanged, and a cached multiway plan can never
+    /// regress below the pairwise operators.
+    fn runnable(&self, store: &TripleStore, compiled: &[CompiledPattern]) -> &[PlanStep] {
+        if let Some(
+            step @ PlanStep {
+                op: PlanOp::Wco(wp),
+                ..
+            },
+        ) = &self.wco
+        {
+            let wco_cost: u64 = compiled
+                .iter()
+                .map(|cp| store.estimate_pattern(cp.base()) as u64)
+                .sum();
+            if wco_cost >= MIN_WCO_INPUT
+                && wco_cost <= wp.pairwise_cost.saturating_mul(WCO_COST_SLACK)
+            {
+                return std::slice::from_ref(step);
+            }
+        }
+        &self.steps
+    }
+}
+
+/// Joins one required pattern group from the all-unbound row: applies
+/// `filters` as soon as their variables bind, honors `early_limit` on
+/// the final step, and degrades under the budget (trip → sample →
+/// grace). Groups of two or more patterns take the cost-based plan from
+/// the shape-keyed cache unless the engine is [`Engine::Greedy`]; a
+/// single pattern has nothing to cost and never touches the cache.
+pub(crate) fn join_group(
+    cx: &ExecCx<'_>,
+    deg: &mut DegradeState,
+    engine: Engine,
+    combo: &[TriplePattern],
+    filters: &[&Expr],
+    early_limit: Option<usize>,
+) -> Vec<Row> {
+    let store = cx.store;
+    let plan_span = cx.trace.span(Stage::Plan);
+    let Some(compiled) = compile_group(store, combo, cx.var_idx) else {
         return Vec::new();
     };
+    let pending = compile_filters(store, filters, cx.var_idx);
+    let nvars = cx.var_idx.len();
+    let initial = vec![vec![None; nvars]];
+    if engine == Engine::Greedy || combo.len() < 2 {
+        let steps = greedy_plan(
+            &compiled,
+            &base_counts(store, &compiled),
+            vec![false; nvars],
+        );
+        drop(plan_span);
+        let plan = BoundPlan {
+            steps: &steps,
+            compiled: &compiled,
+            local_to_global: &[],
+            stops_early: true,
+        };
+        return execute(cx, deg, &plan, initial, pending, early_limit).0;
+    }
     let (shape, local_names) = combo_shape(combo);
     // `usize::MAX` marks a variable the algebra pass pruned from the
     // row layout; join keys always occur twice and are never pruned,
     // so the sentinel is only ever read by the multiway row emitter.
     let local_to_global: Vec<usize> = local_names
         .iter()
-        .map(|n| var_idx.get(n.as_str()).copied().unwrap_or(usize::MAX))
+        .map(|n| cx.var_idx.get(n.as_str()).copied().unwrap_or(usize::MAX))
         .collect();
-    let plan = plan_for(store, shape, &compiled, use_wco);
-    let mut pending = compile_filters(store, filters, var_idx);
+    let plan = plan_for(store, shape, &compiled, engine);
     drop(plan_span);
-
+    let steps = plan.runnable(store, &compiled);
+    let bound = BoundPlan {
+        steps,
+        compiled: &compiled,
+        local_to_global: &local_to_global,
+        stops_early: false,
+    };
+    let (rows, ran) = execute(cx, deg, &bound, initial, pending, early_limit);
+    // Only cost-based steps carry an estimate worth holding to account.
     let m = plan_metrics();
-    let nvars = var_idx.len();
-
-    if let Some(wp) = plan.wco.as_ref() {
-        // Runtime downgrade discipline: the multiway join pays Σ|Pᵢ| up
-        // front to materialize and sort every pattern. Run it only when
-        // that cost is both non-trivial and within WCO_COST_SLACK of the
-        // pairwise plan's estimated intermediate volume — otherwise fall
-        // through to the cached pairwise steps unchanged, so a cached
-        // WCO plan can never regress below the pairwise operators.
-        let wco_cost: u64 = compiled
-            .iter()
-            .map(|cp| store.estimate_pattern(cp.base()) as u64)
-            .sum();
-        if wco_cost >= MIN_WCO_INPUT && wco_cost <= wp.pairwise_cost.saturating_mul(WCO_COST_SLACK)
-        {
-            let probe_span = trace.span(Stage::BgpProbe);
-            let (mut rows, stats) =
-                crate::wco::wco_join(store, &compiled, wp, &local_to_global, nvars, budget, deg);
-            drop(probe_span);
-            trace.add_items(Stage::BgpProbe, rows.len() as u64);
-            sparql_metrics().rows_probed.add(rows.len() as u64);
-            m.rows[op_kind_index("wco")].add(rows.len() as u64);
-            m.wco_seeks.add(stats.seeks);
-            m.wco_advances.add(stats.advances);
-            let est = wp.est_rows.max(1);
-            let actual = (rows.len() as u64).max(1);
-            m.qerror.observe(est.max(actual) * 100 / est.min(actual));
-            if trace.is_enabled() {
-                trace.record_plan_step(PlanStepTrace {
-                    op: "wco",
-                    detail: combo
-                        .iter()
-                        .map(fmt_pattern)
-                        .collect::<Vec<_>>()
-                        .join(" . "),
-                    est_rows: wp.est_rows,
-                    actual_rows: rows.len() as u64,
-                });
-            }
-            // One level per variable: the whole group is bound at once.
-            let mut bound = vec![false; nvars];
-            for cp in &compiled {
-                for v in cp.var_indexes() {
-                    bound[v] = true;
-                }
-            }
-            pending.retain(|f| {
-                let ready = f.vars.iter().all(|&v| bound[v]);
-                if ready {
-                    let _filter_span = trace.span(Stage::Filter);
-                    retain_parallel(&mut rows, |row| f.matches(store, row, var_idx));
-                }
-                !ready
-            });
-            if let Some(lim) = early_limit {
-                if pending.is_empty() {
-                    rows.truncate(lim);
-                }
-            }
-            return rows;
-        }
-    }
-
-    let mut rows: Vec<Row> = vec![vec![None; nvars]];
-    let mut bound = vec![false; nvars];
-
-    for (step_no, step) in plan.steps.iter().enumerate() {
-        let cp = &compiled[step.pattern];
-        // Plans are cached by shape, so the *actual* input cardinality
-        // can differ wildly from the one the plan was built for. A
-        // batched join is only executed when the live row count can pay
-        // for materializing the right side; otherwise the step
-        // downgrades to per-row index probes (which is what the greedy
-        // engine always does, so the downgrade can never be a
-        // regression).
-        let batch_ok = |rows: &[Row]| {
-            rows.len() >= MIN_BATCH_INPUT
-                && store.estimate_pattern(cp.base()) <= rows.len().saturating_mul(MAX_RIGHT_BLOWUP)
-        };
-        let probe_span = trace.span(Stage::BgpProbe);
-        let (next, op_used): (Vec<Row>, &'static str) = match &step.op {
-            PlanOp::Scan => (probe_step(store, cp, rows, budget, deg), "scan"),
-            PlanOp::NestedLoop => (probe_step(store, cp, rows, budget, deg), "nested_loop"),
-            PlanOp::MergeJoin { var, right_pos } if batch_ok(&rows) => (
-                merge_join(
-                    store,
-                    cp,
-                    rows,
-                    local_to_global[*var as usize],
-                    *right_pos,
-                    budget,
-                    deg,
-                ),
-                "merge_join",
-            ),
-            PlanOp::HashJoin { keys } if batch_ok(&rows) => {
-                let kg: Vec<usize> = keys.iter().map(|&k| local_to_global[k as usize]).collect();
-                (hash_join(store, cp, rows, &kg, budget, deg), "hash_join")
-            }
-            PlanOp::MergeJoin { .. } | PlanOp::HashJoin { .. } => {
-                (probe_step(store, cp, rows, budget, deg), "nested_loop")
-            }
-        };
-        rows = next;
-        drop(probe_span);
-        trace.add_items(Stage::BgpProbe, rows.len() as u64);
-        sparql_metrics().rows_probed.add(rows.len() as u64);
-        m.rows[op_kind_index(op_used)].add(rows.len() as u64);
-        let est = step.est_rows.max(1);
-        let actual = (rows.len() as u64).max(1);
-        m.qerror.observe(est.max(actual) * 100 / est.min(actual));
-        if trace.is_enabled() {
-            trace.record_plan_step(PlanStepTrace {
-                op: op_used,
-                detail: fmt_pattern(&combo[step.pattern]),
+    for (step, &(op, actual)) in steps.iter().zip(&ran) {
+        m.rows[op_kind_index(op)].add(actual);
+        let (est, act) = (step.est_rows.max(1), actual.max(1));
+        m.qerror.observe(est.max(act) * 100 / est.min(act));
+        if cx.trace.is_enabled() {
+            cx.trace.record_plan_step(PlanStepTrace {
+                op,
+                detail: combo[step.patterns(combo.len())]
+                    .iter()
+                    .map(fmt_pattern)
+                    .collect::<Vec<_>>()
+                    .join(" . "),
                 est_rows: step.est_rows,
-                actual_rows: rows.len() as u64,
+                actual_rows: actual,
             });
-        }
-
-        for v in cp.var_indexes() {
-            bound[v] = true;
-        }
-        pending.retain(|f| {
-            let ready = f.vars.iter().all(|&v| bound[v]);
-            if ready {
-                let _filter_span = trace.span(Stage::Filter);
-                retain_parallel(&mut rows, |row| f.matches(store, row, var_idx));
-            }
-            !ready
-        });
-        if let Some(lim) = early_limit {
-            if step_no + 1 == plan.steps.len() && pending.is_empty() {
-                rows.truncate(lim);
-            }
-        }
-        if rows.is_empty() {
-            return rows;
         }
     }
     rows
 }
 
-/// Per-row index probe — the scan / nested-loop operator. Identical
-/// budget semantics to the greedy stage: parallel over the row table,
-/// chunk-granular polling, trip → completed prefix → sample.
-fn probe_step(
-    store: &TripleStore,
-    cp: &CompiledPattern,
-    rows: Vec<Row>,
-    budget: &Budget,
+/// Left-joins one OPTIONAL block onto `rows`. The block is compiled and
+/// counted once; each left row is then joined on its own, in the greedy
+/// order for the variables *that row* already binds (rows left unmatched
+/// by an earlier block bind fewer), and kept as it is when nothing
+/// matches.
+pub(crate) fn left_join(
+    cx: &ExecCx<'_>,
     deg: &mut DegradeState,
+    block: &[TriplePattern],
+    rows: Vec<Row>,
 ) -> Vec<Row> {
-    let probe = |row: &Row| -> Vec<Row> {
-        let mut extended = Vec::new();
-        for t in store.match_pattern(cp.fill(row)) {
-            if let Some(new_row) = cp.bind(row, &t) {
-                extended.push(new_row);
+    let plan_span = cx.trace.span(Stage::Plan);
+    let group = compile_group(cx.store, block, cx.var_idx).map(|compiled| {
+        let counts = base_counts(cx.store, &compiled);
+        (compiled, counts)
+    });
+    drop(plan_span);
+    let total = rows.len();
+    let mut next = Vec::with_capacity(total);
+    for (i, row) in rows.into_iter().enumerate() {
+        // One budget poll per left-joined row; on a trip the processed
+        // prefix survives (every kept row is fully left-joined — a row
+        // kept *without* attempting the join could wrongly report its
+        // optional variables unbound).
+        if !deg.active() && !cx.budget.is_unlimited() {
+            if let Some(reason) = cx.budget.exceeded() {
+                deg.trip(reason, i as f64 / total as f64);
+                break;
             }
         }
-        extended
-    };
-    if budget.is_unlimited() || deg.active() {
-        wodex_exec::par_map(&rows, probe)
+        let matched = match &group {
+            // A constant missing from the dictionary: nothing matches.
+            None => Vec::new(),
+            Some((compiled, counts)) => {
+                let steps =
+                    greedy_plan(compiled, counts, row.iter().map(Option::is_some).collect());
+                let plan = BoundPlan {
+                    steps: &steps,
+                    compiled,
+                    local_to_global: &[],
+                    stops_early: true,
+                };
+                execute(cx, deg, &plan, vec![row.clone()], Vec::new(), None).0
+            }
+        };
+        if matched.is_empty() {
+            next.push(row);
+        } else {
+            next.extend(matched);
+        }
+    }
+    if deg.active() {
+        deg.sample(&mut next);
+    }
+    next
+}
+
+/// The step loop under every pattern group: runs `plan`'s steps over
+/// `rows`, applying each `pending` filter as soon as its variables are
+/// bound and cutting the output at `early_limit`. Returns the joined
+/// rows and, per step run, the operator executed (which a runtime
+/// downgrade can make differ from the planned one) and its output row
+/// count — the caller decides whether those are worth recording.
+fn execute(
+    cx: &ExecCx<'_>,
+    deg: &mut DegradeState,
+    plan: &BoundPlan<'_>,
+    mut rows: Vec<Row>,
+    mut pending: Vec<CompiledFilter<'_>>,
+    early_limit: Option<usize>,
+) -> (Vec<Row>, Vec<(&'static str, u64)>) {
+    let store = cx.store;
+    // Variables the input rows bind count as bound for filter readiness.
+    let mut bound: Vec<bool> = (0..cx.var_idx.len())
+        .map(|i| rows.iter().any(|r| r[i].is_some()))
+        .collect();
+    let mut ran = Vec::with_capacity(plan.steps.len());
+    for (step_no, step) in plan.steps.iter().enumerate() {
+        // The early-limit rule: only the last step's output is the row
+        // stream, and only once no filter is left to thin it. A greedy
+        // plan's probe then stops at the limit; a cost-based step runs
+        // in full (in parallel, and its row count stays the cardinality
+        // the plan's estimate is held to) and is cut afterwards.
+        let last = step_no + 1 == plan.steps.len();
+        let limit =
+            |pending: &[CompiledFilter<'_>]| early_limit.filter(|_| last && pending.is_empty());
+        let stop_at = limit(&pending).filter(|_| plan.stops_early);
+        let cp = &plan.compiled[step.pattern];
+        // Plans are cached by shape, so the *actual* input cardinality
+        // can differ wildly from the one the plan was built for. A
+        // batched join is only executed when the live row count can pay
+        // for materializing the right side; otherwise the step
+        // downgrades to per-row index probes (all a greedy plan ever
+        // does, so the downgrade can never be a regression).
+        let batch_ok = || {
+            rows.len() >= MIN_BATCH_INPUT
+                && store.estimate_pattern(cp.base()) <= rows.len().saturating_mul(MAX_RIGHT_BLOWUP)
+        };
+        let probe_span = cx.trace.span(Stage::BgpProbe);
+        let (next, op_used): (Vec<Row>, &'static str) = match &step.op {
+            // One input row, one materialized (parallel-decoded) run.
+            PlanOp::Scan => (
+                run_stage(cx, deg, None, &rows, |row| {
+                    let matches = store.match_pattern(cp.fill(row));
+                    matches.iter().filter_map(|t| cp.bind(row, t)).collect()
+                }),
+                "scan",
+            ),
+            PlanOp::MergeJoin { var, right_pos } if batch_ok() => {
+                let join_var = plan.local_to_global[*var as usize];
+                (
+                    merge_join(cx, deg, cp, &rows, join_var, *right_pos),
+                    "merge_join",
+                )
+            }
+            PlanOp::HashJoin { keys } if batch_ok() => {
+                let kg: Vec<usize> = keys
+                    .iter()
+                    .map(|&k| plan.local_to_global[k as usize])
+                    .collect();
+                (hash_join(cx, deg, cp, &rows, &kg), "hash_join")
+            }
+            PlanOp::Wco(wp) => {
+                let (next, stats) =
+                    crate::wco::wco_join(cx, deg, plan.compiled, wp, plan.local_to_global);
+                let m = plan_metrics();
+                m.wco_seeks.add(stats.seeks);
+                m.wco_advances.add(stats.advances);
+                (next, "wco")
+            }
+            PlanOp::NestedLoop | PlanOp::MergeJoin { .. } | PlanOp::HashJoin { .. } => (
+                run_stage(cx, deg, stop_at, &rows, |row| probe_row(store, cp, row)),
+                "nested_loop",
+            ),
+        };
+        rows = next;
+        drop(probe_span);
+        cx.trace.add_items(Stage::BgpProbe, rows.len() as u64);
+        sparql_metrics().rows_probed.add(rows.len() as u64);
+        ran.push((op_used, rows.len() as u64));
+
+        for pi in step.patterns(plan.compiled.len()) {
+            for v in plan.compiled[pi].vars() {
+                bound[v] = true;
+            }
+        }
+        // Apply filters whose variables are now bound (parallel,
+        // order-preserving keep flags).
+        pending.retain(|f| {
+            let ready = f.vars.iter().all(|&v| bound[v]);
+            if ready {
+                let _filter_span = cx.trace.span(Stage::Filter);
+                retain_parallel(&mut rows, |row| f.matches(store, row, cx.var_idx));
+            }
+            !ready
+        });
+        if let Some(lim) = limit(&pending) {
+            rows.truncate(lim);
+        }
+        if rows.is_empty() {
+            break;
+        }
+    }
+    (rows, ran)
+}
+
+/// The one budget/degrade driver under every join stage: maps an
+/// operator's per-item closure over its input and concatenates the
+/// extension lists in item order, so a stage's output is identical at
+/// every thread count.
+///
+/// With `stop_at` (the early-limit rule's verdict, which only a greedy
+/// plan's probe is handed) the items run serially and the stage returns
+/// exactly the first `stop_at` rows: the parallel path followed by
+/// `truncate` would return the same rows, just with wasted work.
+/// Otherwise the stage is parallel — unchecked when the budget is
+/// unlimited or already tripped (grace mode: the sampled rows finish
+/// without more checks, so a tripped deadline cannot starve the answer
+/// to nothing), and through [`wodex_exec::par_map_budgeted`] when not:
+/// a trip keeps the completed prefix, folds its fraction into the
+/// coverage estimate and samples it down for the stages still to come.
+pub(crate) fn run_stage<T: Sync>(
+    cx: &ExecCx<'_>,
+    deg: &mut DegradeState,
+    stop_at: Option<usize>,
+    items: &[T],
+    f: impl Fn(&T) -> Vec<Row> + Sync,
+) -> Vec<Row> {
+    let budgeted = !cx.budget.is_unlimited() && !deg.active();
+    if let Some(lim) = stop_at {
+        let mut rows = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            if rows.len() >= lim {
+                break;
+            }
+            if budgeted {
+                // The last stage of its group: nothing joins after it,
+                // so there is nothing to sample the prefix down for.
+                if let Some(reason) = cx.budget.exceeded() {
+                    deg.trip(reason, i as f64 / items.len() as f64);
+                    break;
+                }
+            }
+            rows.extend(f(item));
+        }
+        rows.truncate(lim);
+        return rows;
+    }
+    if !budgeted {
+        return wodex_exec::par_map(items, f)
             .into_iter()
             .flatten()
-            .collect()
-    } else {
-        let total = rows.len();
-        let part = wodex_exec::par_map_budgeted(&rows, budget, probe);
-        let interrupted = part.interrupted;
-        let stage_cov = part.coverage(total);
-        let mut flat: Vec<Row> = part.value.into_iter().flatten().collect();
-        if let Some(reason) = interrupted {
-            deg.trip(reason, stage_cov);
-            deg.sample(&mut flat);
-        }
-        flat
+            .collect();
     }
+    let part = wodex_exec::par_map_budgeted(items, cx.budget, f);
+    let coverage = part.coverage(items.len());
+    let mut rows: Vec<Row> = part.value.into_iter().flatten().collect();
+    if let Some(reason) = part.interrupted {
+        deg.trip(reason, coverage);
+        deg.sample(&mut rows);
+    }
+    rows
+}
+
+/// The per-row index probe: `row` extended with every store match of
+/// the pattern. Matches stream chunk by chunk (from cached segment
+/// blocks when the store has a segment base) instead of materializing
+/// the match vector per row; chunk concatenation is exactly
+/// `match_pattern`.
+fn probe_row(store: &TripleStore, cp: &CompiledPattern, row: &Row) -> Vec<Row> {
+    let mut extended = Vec::new();
+    store.match_pattern_chunks(cp.fill(row), &mut |chunk| {
+        extended.extend(chunk.iter().filter_map(|t| cp.bind(row, t)));
+        true
+    });
+    extended
 }
 
 /// Merge join: materialize the right side once, pre-sorted by the join
 /// key straight off an index run (the planner guaranteed the natural
 /// sort position and an empty tail), then for each row gallop into the
 /// sorted run by binary search. Left row order is preserved, so output
-/// order matches the per-row-probe operators'.
+/// order matches the per-row probe's.
 fn merge_join(
-    store: &TripleStore,
+    cx: &ExecCx<'_>,
+    deg: &mut DegradeState,
     cp: &CompiledPattern,
-    rows: Vec<Row>,
+    rows: &[Row],
     join_var: usize,
     right_pos: usize,
-    budget: &Budget,
-    deg: &mut DegradeState,
 ) -> Vec<Row> {
-    let right = store.match_pattern_sorted_by(cp.base(), right_pos);
-    let probe = |row: &Row| -> Vec<Row> {
+    let right = cx.store.match_pattern_sorted_by(cp.base(), right_pos);
+    run_stage(cx, deg, None, rows, |row| {
         let Some(key) = row[join_var] else {
             // Join variable unbound (cannot happen for plans built from
             // the shape, but stay correct): the run does not constrain
             // it — fall back to a plain probe.
-            let mut extended = Vec::new();
-            for t in store.match_pattern(cp.fill(row)) {
-                if let Some(new_row) = cp.bind(row, &t) {
-                    extended.push(new_row);
-                }
-            }
-            return extended;
+            return probe_row(cx.store, cp, row);
         };
         let start = right.partition_point(|t| t[right_pos] < key.0);
-        let mut extended = Vec::new();
-        for t in &right[start..] {
-            if t[right_pos] != key.0 {
-                break;
-            }
-            if let Some(new_row) = cp.bind(row, t) {
-                extended.push(new_row);
-            }
-        }
-        extended
-    };
-    if budget.is_unlimited() || deg.active() {
-        wodex_exec::par_map(&rows, probe)
-            .into_iter()
-            .flatten()
+        right[start..]
+            .iter()
+            .take_while(|t| t[right_pos] == key.0)
+            .filter_map(|t| cp.bind(row, t))
             .collect()
-    } else {
-        let total = rows.len();
-        let part = wodex_exec::par_map_budgeted(&rows, budget, probe);
-        let interrupted = part.interrupted;
-        let stage_cov = part.coverage(total);
-        let mut flat: Vec<Row> = part.value.into_iter().flatten().collect();
-        if let Some(reason) = interrupted {
-            deg.trip(reason, stage_cov);
-            deg.sample(&mut flat);
-        }
-        flat
-    }
+    })
 }
 
 /// Hash join: materialize the right side once, build a hash table on
 /// the smaller side, probe the larger in parallel batches.
 fn hash_join(
-    store: &TripleStore,
-    cp: &CompiledPattern,
-    rows: Vec<Row>,
-    keys: &[usize],
-    budget: &Budget,
+    cx: &ExecCx<'_>,
     deg: &mut DegradeState,
+    cp: &CompiledPattern,
+    rows: &[Row],
+    keys: &[usize],
 ) -> Vec<Row> {
-    let right = store.match_pattern(cp.base());
+    let right = cx.store.match_pattern(cp.base());
     let key_positions: Vec<usize> = keys
         .iter()
         .map(|&v| cp.position_of(v).expect("join key occurs in pattern"))
@@ -1239,81 +1483,30 @@ fn hash_join(
     let row_key =
         |row: &Row| -> Option<Vec<u32>> { keys.iter().map(|&v| row[v].map(|id| id.0)).collect() };
 
+    let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
     if rows.len() <= right.len() {
         // Build on the binding rows, probe the triples. Output is
         // grouped by right triple in scan order — deterministic at
         // every thread count (the map is only ever looked up).
-        let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
         for (i, row) in rows.iter().enumerate() {
             if let Some(k) = row_key(row) {
                 table.entry(k).or_default().push(i);
             }
         }
-        let probe = |t: &EncodedTriple| -> Vec<Row> {
-            let mut extended = Vec::new();
-            if let Some(idxs) = table.get(&triple_key(t)) {
-                for &i in idxs {
-                    if let Some(new_row) = cp.bind(&rows[i], t) {
-                        extended.push(new_row);
-                    }
-                }
-            }
-            extended
-        };
-        if budget.is_unlimited() || deg.active() {
-            wodex_exec::par_map(&right, probe)
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            let total = right.len();
-            let part = wodex_exec::par_map_budgeted(&right, budget, probe);
-            let interrupted = part.interrupted;
-            let stage_cov = part.coverage(total);
-            let mut flat: Vec<Row> = part.value.into_iter().flatten().collect();
-            if let Some(reason) = interrupted {
-                deg.trip(reason, stage_cov);
-                deg.sample(&mut flat);
-            }
-            flat
-        }
+        run_stage(cx, deg, None, &right, |t| {
+            let matches = table.get(&triple_key(t)).into_iter().flatten();
+            matches.filter_map(|&i| cp.bind(&rows[i], t)).collect()
+        })
     } else {
         // Build on the triples, probe the rows (preserves row order).
-        let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
         for (i, t) in right.iter().enumerate() {
             table.entry(triple_key(t)).or_default().push(i);
         }
-        let probe = |row: &Row| -> Vec<Row> {
-            let Some(k) = row_key(row) else {
-                return Vec::new();
-            };
-            let mut extended = Vec::new();
-            if let Some(idxs) = table.get(&k) {
-                for &i in idxs {
-                    if let Some(new_row) = cp.bind(row, &right[i]) {
-                        extended.push(new_row);
-                    }
-                }
-            }
-            extended
-        };
-        if budget.is_unlimited() || deg.active() {
-            wodex_exec::par_map(&rows, probe)
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            let total = rows.len();
-            let part = wodex_exec::par_map_budgeted(&rows, budget, probe);
-            let interrupted = part.interrupted;
-            let stage_cov = part.coverage(total);
-            let mut flat: Vec<Row> = part.value.into_iter().flatten().collect();
-            if let Some(reason) = interrupted {
-                deg.trip(reason, stage_cov);
-                deg.sample(&mut flat);
-            }
-            flat
-        }
+        run_stage(cx, deg, None, rows, |row| {
+            let matches = row_key(row).and_then(|k| table.get(&k));
+            let matches = matches.into_iter().flatten();
+            matches.filter_map(|&i| cp.bind(row, &right[i])).collect()
+        })
     }
 }
 
@@ -1404,7 +1597,7 @@ mod tests {
             .map(|p| CompiledPattern::compile(&st, p, &vm).unwrap())
             .collect();
         let (shape, _) = combo_shape(&combo);
-        let plan = build_plan(&st, &shape, &compiled, true);
+        let plan = build_plan(&st, &shape, &compiled, Engine::Wco);
         assert_eq!(plan.steps[0].pattern, 1, "selective pattern scans first");
         assert_eq!(plan.steps[0].op, PlanOp::Scan);
         assert_ne!(plan.steps[1].op, PlanOp::NestedLoop, "shared var joins");
@@ -1436,6 +1629,7 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_on_same_shape_and_misses_on_mutation() {
+        let _guard = plan_cache_test_lock();
         let st = store();
         let vm = var_map(&["x", "y"]);
         let combo = [pat("?x", foaf::KNOWS, "?y"), pat("?y", foaf::KNOWS, "?x")];
@@ -1445,8 +1639,8 @@ mod tests {
             .collect();
         let (shape, _) = combo_shape(&combo);
         let before = plan_cache_stats();
-        let p1 = plan_for(&st, shape.clone(), &compiled, true);
-        let p2 = plan_for(&st, shape.clone(), &compiled, true);
+        let p1 = plan_for(&st, shape.clone(), &compiled, Engine::Wco);
+        let p2 = plan_for(&st, shape.clone(), &compiled, Engine::Wco);
         let after = plan_cache_stats();
         assert!(
             Arc::ptr_eq(&p1, &p2),
@@ -1457,8 +1651,9 @@ mod tests {
         // A different store revision must not reuse the plan.
         let st2 = store();
         assert_ne!(st.revision(), st2.revision());
-        let _p3 = plan_for(&st2, shape, &compiled, true);
+        let p3 = plan_for(&st2, shape, &compiled, Engine::Wco);
         let last = plan_cache_stats();
+        assert!(!Arc::ptr_eq(&p1, &p3), "the plan is not reused");
         assert_eq!(last.misses, after.misses + 1, "new revision is a new key");
     }
 
@@ -1640,11 +1835,71 @@ mod tests {
     }
 
     #[test]
+    fn a_limit_stops_a_probe_early_and_cuts_a_batched_join_afterwards() {
+        // 200 `knows` arcs, two out of every node: the two-hop has 400
+        // rows, six of them after the first three one-hop rows.
+        let st = triangle_store(100);
+        let vm = var_map(&["a", "b", "c"]);
+        let combo = [pat("?a", foaf::KNOWS, "?b"), pat("?b", foaf::KNOWS, "?c")];
+        let compiled = compile_group(&st, &combo, &vm).unwrap();
+        let (shape, names) = combo_shape(&combo);
+        let local_to_global: Vec<usize> = names.iter().map(|n| vm[n.as_str()]).collect();
+        let cx = ExecCx {
+            store: &st,
+            var_idx: &vm,
+            budget: &Budget::unlimited(),
+            trace: &QueryTrace::disabled(),
+        };
+        let run = |steps: &[PlanStep], stops_early: bool| {
+            let plan = BoundPlan {
+                steps,
+                compiled: &compiled,
+                local_to_global: &local_to_global,
+                stops_early,
+            };
+            let initial = vec![vec![None; vm.len()]];
+            let (rows, ran) = execute(
+                &cx,
+                &mut DegradeState::new(),
+                &plan,
+                initial,
+                Vec::new(),
+                Some(5),
+            );
+            assert_eq!(rows.len(), 5);
+            ran
+        };
+        // A greedy plan's last probe stops exactly at the limit (the left
+        // row that fills it yields one row too many, which is dropped).
+        let greedy = greedy_plan(&compiled, &base_counts(&st, &compiled), vec![false; 3]);
+        assert_eq!(
+            run(&greedy, true),
+            [("nested_loop", 200), ("nested_loop", 5)]
+        );
+        // So does a single-pattern group's, whose one input row matches
+        // all 200 arcs: what it records as probed is the limit.
+        assert_eq!(run(&greedy[..1], true), [("nested_loop", 5)]);
+        // A cost-based plan's last step runs in full, so the row count
+        // held against its estimate is the step's cardinality, not the
+        // limit — a batched join and a per-row probe alike.
+        let costed = build_plan(&st, &shape, &compiled, Engine::Pairwise);
+        assert_eq!(
+            run(&costed.steps, false),
+            [("scan", 200), ("hash_join", 400)]
+        );
+        assert_eq!(
+            run(&greedy, false),
+            [("nested_loop", 200), ("nested_loop", 400)]
+        );
+    }
+
+    #[test]
     fn multiway_join_matches_pairwise_and_greedy_on_a_triangle() {
-        use crate::eval::{evaluate_with, EvalOptions};
+        use crate::eval::evaluate_with;
         use crate::parser::parse_query;
         use wodex_obs::QueryTrace;
 
+        let _guard = plan_cache_test_lock();
         let st = triangle_store(30);
         let q = parse_query(
             "SELECT ?a ?b ?c WHERE { ?a <http://xmlns.com/foaf/0.1/knows> ?b . \
@@ -1652,19 +1907,10 @@ mod tests {
              ?c <http://xmlns.com/foaf/0.1/knows> ?a }",
         )
         .unwrap();
-        let run = |use_planner: bool, use_wco: bool| -> (Vec<String>, Vec<&'static str>) {
+        let run = |engine: Engine| -> (Vec<String>, Vec<&'static str>) {
             let trace = QueryTrace::new();
-            let out = evaluate_with(
-                &st,
-                &q,
-                &Budget::unlimited(),
-                &trace,
-                EvalOptions {
-                    use_planner,
-                    use_wco,
-                },
-            )
-            .expect("triangle evaluates");
+            let out = evaluate_with(&st, &q, &Budget::unlimited(), &trace, engine)
+                .expect("triangle evaluates");
             let mut rows: Vec<String> = match out.result {
                 crate::results::QueryResult::Solutions(t) => {
                     t.rows.iter().map(|r| format!("{r:?}")).collect()
@@ -1675,9 +1921,9 @@ mod tests {
             let ops = trace.plan_steps().iter().map(|s| s.op).collect();
             (rows, ops)
         };
-        let (wco_rows, wco_ops) = run(true, true);
-        let (pair_rows, pair_ops) = run(true, false);
-        let (greedy_rows, _) = run(false, false);
+        let (wco_rows, wco_ops) = run(Engine::Wco);
+        let (pair_rows, pair_ops) = run(Engine::Pairwise);
+        let (greedy_rows, greedy_ops) = run(Engine::Greedy);
         assert_eq!(wco_rows.len(), 90, "30 triangles × 3 rotations");
         assert_eq!(wco_rows, pair_rows);
         assert_eq!(wco_rows, greedy_rows);
@@ -1687,7 +1933,8 @@ mod tests {
         );
         assert!(
             !pair_ops.contains(&"wco"),
-            "use_wco=false keys a pairwise plan: {pair_ops:?}"
+            "the pairwise engine keys a pairwise plan: {pair_ops:?}"
         );
+        assert!(greedy_ops.is_empty(), "greedy plans go unrecorded");
     }
 }

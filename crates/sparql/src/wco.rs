@@ -26,18 +26,17 @@
 //!   workers build their own cheap cursor set over the shared runs, so
 //!   the output is a deterministic function of the candidate order —
 //!   thread-count invariant, like every other operator.
-//! * **Budgets** poll at chunk granularity over the candidates, with
-//!   the standard trip → coverage → sample → grace discipline; an
-//!   already-exhausted budget trips before any materialization, the
-//!   same observable state as the pairwise operators' "interrupted
-//!   before the first chunk".
+//! * **Budgets** meet the candidates in the shared stage driver
+//!   ([`crate::plan::run_stage`]), like every pairwise operator's items;
+//!   on top of that an already-exhausted budget trips before any
+//!   materialization, the same observable state as the pairwise
+//!   operators' "interrupted before the first chunk".
 
 use crate::eval::{DegradeState, Row};
-use crate::plan::{CompiledPattern, WcoPlan};
+use crate::plan::{run_stage, CompiledPattern, ExecCx, WcoPlan};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wodex_rdf::TermId;
-use wodex_resilience::Budget;
-use wodex_store::{EncodedTriple, SortedCursor, TripleStore};
+use wodex_store::{EncodedTriple, SortedCursor};
 
 /// Cursor work counters aggregated across the whole join, surfaced as
 /// `wodex_plan_wco_seeks_total` / `wodex_plan_wco_advances_total`.
@@ -52,20 +51,20 @@ pub(crate) struct WcoStats {
 /// operators: rows are genuine solutions, order is thread-invariant,
 /// and budget trips degrade instead of erroring.
 pub(crate) fn wco_join(
-    store: &TripleStore,
+    cx: &ExecCx<'_>,
+    deg: &mut DegradeState,
     compiled: &[CompiledPattern],
     wp: &WcoPlan,
     local_to_global: &[usize],
-    nvars: usize,
-    budget: &Budget,
-    deg: &mut DegradeState,
 ) -> (Vec<Row>, WcoStats) {
+    let store = cx.store;
+    let nvars = cx.var_idx.len();
     let mut stats = WcoStats {
         seeks: 0,
         advances: 0,
     };
-    if !budget.is_unlimited() && !deg.active() {
-        if let Some(reason) = budget.exceeded() {
+    if !cx.budget.is_unlimited() && !deg.active() {
+        if let Some(reason) = cx.budget.exceeded() {
             deg.trip(reason, 0.0);
             return (Vec::new(), stats);
         }
@@ -187,23 +186,7 @@ pub(crate) fn wco_join(
         out
     };
 
-    let rows: Vec<Row> = if budget.is_unlimited() || deg.active() {
-        wodex_exec::par_map(&cands, solve)
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        let total = cands.len();
-        let part = wodex_exec::par_map_budgeted(&cands, budget, solve);
-        let interrupted = part.interrupted;
-        let stage_cov = part.coverage(total);
-        let mut flat: Vec<Row> = part.value.into_iter().flatten().collect();
-        if let Some(reason) = interrupted {
-            deg.trip(reason, stage_cov);
-            deg.sample(&mut flat);
-        }
-        flat
-    };
+    let rows = run_stage(cx, deg, None, &cands, solve);
     stats.seeks += seeks.into_inner();
     stats.advances += advances.into_inner();
     (rows, stats)

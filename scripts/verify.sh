@@ -17,6 +17,37 @@ cargo test --workspace -q --offline
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> row-cap determinism (4 tests x 50 runs x 2 concurrent copies, WODEX_THREADS=4)"
+# A row cap must cut the same prefix on every run. The race this guards
+# against (a budget poll racing the workers that charge it) showed up
+# only under contention, so a second copy of the loop runs beside the
+# first; either copy's first failing run fails the gate.
+test_bin() { # cargo-test target selector -> path of its one test executable
+    cargo test --offline --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
+}
+PLAN_BIN=$(test_bin --test plan_equivalence)
+CORE_BIN=$(test_bin -p wodex-core --lib)
+EXEC_BIN=$(test_bin -p wodex-exec --lib)
+quietly() { # runs a command, printing its output only if it fails
+    local out
+    out=$("$@" 2>&1) || { echo "$out"; echo "verify: FAIL — $*"; return 1; }
+}
+row_cap_loop() {
+    local i
+    for i in $(seq 1 50); do
+        # The filter matches the planner's and the multiway join's test.
+        quietly "$PLAN_BIN" row_cap_yields_a_sound_subset_under
+        quietly "$CORE_BIN" sparql_budgeted_row_cap_degrades
+        quietly "$EXEC_BIN" a_row_cap_admits_the_same_chunks_at_every_thread_count
+    done
+}
+export WODEX_THREADS=4
+row_cap_loop &
+BESIDE=$!
+row_cap_loop
+wait "$BESIDE"
+unset WODEX_THREADS
+
 echo "==> chaos fault sweep (3 seeds x fault rates 0-20%)"
 for seed in 1 42 20160315; do
     echo "    WODEX_FAULT_SEED=$seed"

@@ -293,7 +293,7 @@ fn explain_sharded(file: &str, text: &str) -> i32 {
         text,
         &wodex::sparql::Budget::unlimited(),
         &trace,
-        wodex::sparql::EvalOptions::default(),
+        wodex::sparql::Engine::default(),
     );
     match outcome {
         Ok(c) => {

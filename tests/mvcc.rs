@@ -13,10 +13,13 @@
 //! Seeded like `chaos.rs`: set `WODEX_FAULT_SEED=<n>` to reproduce a
 //! sweep (`scripts/verify.sh` runs three seeds).
 
+mod common;
+
+use common::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wodex::rdf::{Graph, Term, Triple};
-use wodex::sparql::{Budget, EvalOptions, QueryTrace};
+use wodex::sparql::{Budget, QueryTrace};
 use wodex::store::{LiveStore, Snapshot, TripleStore, WriteBatch};
 use wodex::synth::rng::{Rng, SeedableRng, StdRng};
 
@@ -115,27 +118,13 @@ const QUERIES: [&str; 3] = [
      ?b <http://ex.org/mvcc/link0> ?c . ?a <http://ex.org/mvcc/link0> ?c }",
 ];
 
-fn engines() -> [EvalOptions; 3] {
-    [
-        EvalOptions::default(), // planner + worst-case-optimal joins
-        EvalOptions {
-            use_planner: true,
-            use_wco: false,
-        },
-        EvalOptions {
-            use_planner: false,
-            use_wco: false,
-        },
-    ]
-}
-
-fn eval(store: &TripleStore, query: &str, opts: EvalOptions) -> String {
+fn eval(store: &TripleStore, query: &str, engine: Engine) -> String {
     let b = wodex::sparql::query_traced_with(
         store,
         query,
         &Budget::unlimited(),
         &QueryTrace::disabled(),
-        opts,
+        engine,
     )
     .expect("query evaluates");
     assert!(b.degraded.is_none(), "unlimited budget never degrades");
@@ -193,10 +182,10 @@ fn run_differential(seed: u64, readers: usize) {
                     // One query/engine pair per iteration keeps each
                     // pin short, maximizing revision coverage.
                     let q = QUERIES[rng.random_range(0..QUERIES.len())];
-                    let opts = engines()[rng.random_range(0..3usize)];
+                    let engine = Engine::ALL[rng.random_range(0..Engine::ALL.len())];
                     assert_eq!(
-                        eval(snap.store(), q, opts),
-                        eval(pinned.store(), q, opts),
+                        eval(snap.store(), q, engine),
+                        eval(pinned.store(), q, engine),
                         "reader diverged from serial replay at revision {rev} (seed {seed})"
                     );
                     checks += 1;
@@ -217,10 +206,16 @@ fn run_differential(seed: u64, readers: usize) {
         "head revision (seed {seed})"
     );
     for q in QUERIES {
-        for opts in engines() {
-            assert_eq!(eval(last.store(), q, opts), eval(want.store(), q, opts));
+        for engine in Engine::ALL {
+            assert_eq!(eval(last.store(), q, engine), eval(want.store(), q, engine));
         }
     }
+    // The replay and the live store agree with each other; the brute-force
+    // oracle says whether what they agree on is right.
+    assert_eq!(
+        common::engines_agree_with_the_oracle(last.store(), &QUERIES),
+        QUERIES.len()
+    );
 }
 
 #[test]
@@ -248,14 +243,14 @@ fn pinned_snapshots_are_immutable_under_writes() {
     let pinned = live.snapshot();
     let before: Vec<String> = QUERIES
         .iter()
-        .map(|q| eval(pinned.store(), q, EvalOptions::default()))
+        .map(|q| eval(pinned.store(), q, Engine::default()))
         .collect();
     for op in &ops {
         live.commit(&batch_of(op)).expect("commit");
     }
     let after: Vec<String> = QUERIES
         .iter()
-        .map(|q| eval(pinned.store(), q, EvalOptions::default()))
+        .map(|q| eval(pinned.store(), q, Engine::default()))
         .collect();
     assert_eq!(before, after, "a pinned snapshot's answers moved");
     assert!(live.revision() > 0, "the stream committed effectively");

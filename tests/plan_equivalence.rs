@@ -6,9 +6,16 @@
 //! at every thread count, with and without budgets. Row order is not
 //! part of the contract (SPARQL leaves it unspecified without
 //! `ORDER BY`), so results are compared as sorted multisets.
+//!
+//! What the engines share — the step loop, the OPTIONAL left join, the
+//! early-limit rule — no engine-vs-engine comparison can see; the last
+//! test holds all three to the brute-force oracle in `common`.
 
+mod common;
+
+use common::{cyclic_store, run, sorted_rows, Engine, CYCLIC_CORPUS};
 use wodex::exec::with_thread_override;
-use wodex::sparql::{evaluate_with, parse_query, Budget, EvalOptions, QueryResult, QueryTrace};
+use wodex::sparql::{evaluate_with, parse_query, Budget, QueryTrace};
 use wodex::store::TripleStore;
 use wodex::synth::dbpedia::{self, DbpediaConfig};
 
@@ -67,44 +74,14 @@ const CORPUS: &[&str] = &[
      SELECT DISTINCT ?t WHERE { ?a dbo:linksTo ?b . ?a a ?t }",
 ];
 
-fn run(
-    store: &TripleStore,
-    text: &str,
-    budget: &Budget,
-    use_planner: bool,
-) -> wodex::sparql::BudgetedResult {
-    let q = parse_query(text).expect("corpus parses");
-    evaluate_with(
-        store,
-        &q,
-        budget,
-        &QueryTrace::disabled(),
-        EvalOptions {
-            use_planner,
-            ..EvalOptions::default()
-        },
-    )
-    .expect("corpus evaluates")
-}
-
-/// Rows as a sorted multiset fingerprint (order-insensitive compare).
-fn sorted_rows(r: &QueryResult) -> Vec<String> {
-    let mut rows: Vec<String> = match r {
-        QueryResult::Solutions(t) => t.rows.iter().map(|row| format!("{row:?}")).collect(),
-        other => vec![format!("{other:?}")],
-    };
-    rows.sort();
-    rows
-}
-
 #[test]
 fn planned_results_equal_greedy_results_at_one_and_four_threads() {
     let store = corpus_store(300, 42);
     for threads in [1usize, 4] {
         with_thread_override(threads, || {
             for q in CORPUS {
-                let greedy = run(&store, q, &Budget::unlimited(), false);
-                let planned = run(&store, q, &Budget::unlimited(), true);
+                let greedy = run(&store, q, &Budget::unlimited(), Engine::Greedy);
+                let planned = run(&store, q, &Budget::unlimited(), Engine::Wco);
                 assert!(greedy.degraded.is_none() && planned.degraded.is_none());
                 assert_eq!(
                     sorted_rows(&greedy.result),
@@ -132,8 +109,8 @@ fn planned_results_survive_an_unsorted_tail() {
     }
     assert!(store.tail_len() > 0, "inserts must land in the tail");
     for q in CORPUS {
-        let greedy = run(&store, q, &Budget::unlimited(), false);
-        let planned = run(&store, q, &Budget::unlimited(), true);
+        let greedy = run(&store, q, &Budget::unlimited(), Engine::Greedy);
+        let planned = run(&store, q, &Budget::unlimited(), Engine::Wco);
         assert_eq!(
             sorted_rows(&greedy.result),
             sorted_rows(&planned.result),
@@ -147,8 +124,8 @@ fn generous_budget_is_bit_identical_to_unlimited() {
     let store = corpus_store(300, 42);
     let generous = Budget::unlimited().with_deadline(std::time::Duration::from_secs(600));
     for q in CORPUS {
-        let unlimited = run(&store, q, &Budget::unlimited(), true);
-        let budgeted = run(&store, q, &generous, true);
+        let unlimited = run(&store, q, &Budget::unlimited(), Engine::Wco);
+        let budgeted = run(&store, q, &generous, Engine::Wco);
         assert!(budgeted.degraded.is_none(), "generous budget must not trip");
         // Same code path modulo polling: identical rows in identical order.
         assert_eq!(
@@ -164,8 +141,8 @@ fn expired_deadline_degrades_planned_and_greedy_the_same_way() {
     let store = corpus_store(300, 42);
     for q in CORPUS {
         let budget = Budget::unlimited().with_expired_deadline();
-        let greedy = run(&store, q, &budget, false);
-        let planned = run(&store, q, &budget, true);
+        let greedy = run(&store, q, &budget, Engine::Greedy);
+        let planned = run(&store, q, &budget, Engine::Wco);
         let dg = greedy.degraded.expect("greedy must degrade");
         let dp = planned.degraded.expect("planned must degrade");
         assert_eq!(dg.reason, dp.reason);
@@ -184,7 +161,7 @@ fn cancellation_degrades_planned_queries() {
     let store = corpus_store(300, 42);
     let budget = Budget::unlimited().with_row_cap(u64::MAX);
     budget.cancel();
-    let planned = run(&store, CORPUS[1], &budget, true);
+    let planned = run(&store, CORPUS[1], &budget, Engine::Wco);
     assert_eq!(
         planned.degraded.expect("cancelled").reason,
         wodex::sparql::DegradeReason::Cancelled
@@ -196,12 +173,12 @@ fn row_cap_yields_a_sound_subset_under_the_planner() {
     let store = corpus_store(300, 42);
     let q = CORPUS[0];
     let full: std::collections::HashSet<String> =
-        sorted_rows(&run(&store, q, &Budget::unlimited(), true).result)
+        sorted_rows(&run(&store, q, &Budget::unlimited(), Engine::Wco).result)
             .into_iter()
             .collect();
     let budget = Budget::unlimited().with_row_cap(50);
-    let capped = run(&store, q, &budget, true);
-    assert!(capped.degraded.is_some(), "row cap must trip");
+    let capped = run(&store, q, &budget, Engine::Wco);
+    let degraded = capped.degraded.expect("row cap must trip");
     let rows = sorted_rows(&capped.result);
     assert!(rows.len() < full.len());
     for row in &rows {
@@ -210,12 +187,61 @@ fn row_cap_yields_a_sound_subset_under_the_planner() {
     // And the capped answer is thread-invariant (chunk decomposition
     // depends on input length, never thread count).
     let again = with_thread_override(1, || {
-        sorted_rows(&run(&store, q, &Budget::unlimited().with_row_cap(50), true).result)
+        sorted_rows(
+            &run(
+                &store,
+                q,
+                &Budget::unlimited().with_row_cap(50),
+                Engine::Wco,
+            )
+            .result,
+        )
     });
     let par = with_thread_override(4, || {
-        sorted_rows(&run(&store, q, &Budget::unlimited().with_row_cap(50), true).result)
+        sorted_rows(
+            &run(
+                &store,
+                q,
+                &Budget::unlimited().with_row_cap(50),
+                Engine::Wco,
+            )
+            .result,
+        )
     });
     assert_eq!(again, par, "capped planned results depend on thread count");
+    // A row cap cuts a deterministic prefix: the same rows and the same
+    // coverage on every run, at every thread count.
+    assert_capped_answer_is_fixed(&store, q, 50, (rows.len(), degraded.coverage));
+    assert_eq!((rows.len(), degraded.coverage), PLANNER_CAPPED);
+}
+
+/// What `row_cap=50` leaves of `CORPUS[0]` over `corpus_store(300, 42)`,
+/// as (row count, coverage) — a function of the cap, the chunk size and
+/// the plan, not of timing: the scan is one item, the join over its 300
+/// rows is admitted one 256-row chunk, and 101 of those are cities.
+const PLANNER_CAPPED: (usize, f64) = (101, 256.0 / 300.0);
+
+/// Re-runs a capped query at 1, 2, 4 and 8 threads, several times each:
+/// every run must return `want` = (row count, coverage) and the same bag.
+fn assert_capped_answer_is_fixed(store: &TripleStore, q: &str, cap: u64, want: (usize, f64)) {
+    let mut bags = std::collections::HashSet::new();
+    for threads in [1usize, 2, 4, 8] {
+        for _ in 0..5 {
+            let capped = with_thread_override(threads, || {
+                run(
+                    store,
+                    q,
+                    &Budget::unlimited().with_row_cap(cap),
+                    Engine::Wco,
+                )
+            });
+            let rows = sorted_rows(&capped.result);
+            let coverage = capped.degraded.expect("row cap must trip").coverage;
+            assert_eq!((rows.len(), coverage), want, "at {threads} thread(s)");
+            bags.insert(rows);
+        }
+    }
+    assert_eq!(bags.len(), 1, "one capped bag at every thread count");
 }
 
 // ---------------------------------------------------------------------
@@ -225,83 +251,15 @@ fn row_cap_yields_a_sound_subset_under_the_planner() {
 // count and under every degradation mode.
 // ---------------------------------------------------------------------
 
-/// A directed Zipf graph with `weight` attributes: hubs make directed
-/// triangles and small cliques plentiful.
-fn cyclic_store(nodes: usize, arcs: usize, seed: u64) -> TripleStore {
-    use wodex::rdf::{Graph, Term, Triple};
-    let mut g = Graph::new();
-    for i in 0..nodes {
-        g.insert(Triple::iri(
-            &format!("http://c.org/e{i}"),
-            "http://c.org/w",
-            Term::integer((i % 97) as i64),
-        ));
-    }
-    for (a, b) in wodex::synth::netgen::zipf_digraph(nodes, arcs, 1.0, seed) {
-        g.insert(Triple::iri(
-            &format!("http://c.org/e{a}"),
-            "http://c.org/cites",
-            Term::iri(format!("http://c.org/e{b}")),
-        ));
-    }
-    TripleStore::from_graph(&g)
-}
-
-/// Cyclic shapes plus the rewrites that ride along: filters into the
-/// multiway group, a pruned spoke, a 4-clique tournament.
-const CYCLIC_CORPUS: &[&str] = &[
-    // Triangle.
-    "PREFIX c: <http://c.org/>\n\
-     SELECT ?a ?b ?c WHERE { ?a c:cites ?b . ?b c:cites ?c . ?c c:cites ?a }",
-    // Triangle with a pendant attribute and a pushed-down filter.
-    "PREFIX c: <http://c.org/>\n\
-     SELECT ?a ?b ?c WHERE { ?a c:cites ?b . ?b c:cites ?c . ?c c:cites ?a . \
-     ?a c:w ?wa FILTER(?wa > 30) }",
-    // Directed 4-cycle.
-    "PREFIX c: <http://c.org/>\n\
-     SELECT ?a ?c WHERE { ?a c:cites ?b . ?b c:cites ?c . ?c c:cites ?d . \
-     ?d c:cites ?a }",
-    // 4-clique tournament.
-    "PREFIX c: <http://c.org/>\n\
-     SELECT ?a ?b ?c ?d WHERE { ?a c:cites ?b . ?a c:cites ?c . ?a c:cites ?d . \
-     ?b c:cites ?c . ?b c:cites ?d . ?c c:cites ?d }",
-    // Triangle with a single-occurrence spoke: ?e is pruned but must
-    // still multiply the bag.
-    "PREFIX c: <http://c.org/>\n\
-     SELECT ?a WHERE { ?a c:cites ?b . ?b c:cites ?c . ?c c:cites ?a . \
-     ?a c:cites ?e }",
-];
-
-fn run_engine(
-    store: &TripleStore,
-    text: &str,
-    budget: &Budget,
-    use_planner: bool,
-    use_wco: bool,
-) -> wodex::sparql::BudgetedResult {
-    let q = parse_query(text).expect("cyclic corpus parses");
-    evaluate_with(
-        store,
-        &q,
-        budget,
-        &QueryTrace::disabled(),
-        EvalOptions {
-            use_planner,
-            use_wco,
-        },
-    )
-    .expect("cyclic corpus evaluates")
-}
-
 #[test]
 fn wco_equals_pairwise_and_greedy_at_one_and_four_threads() {
     let store = cyclic_store(200, 1600, 42);
     for threads in [1usize, 4] {
         with_thread_override(threads, || {
             for q in CYCLIC_CORPUS {
-                let greedy = run_engine(&store, q, &Budget::unlimited(), false, false);
-                let pairwise = run_engine(&store, q, &Budget::unlimited(), true, false);
-                let wco = run_engine(&store, q, &Budget::unlimited(), true, true);
+                let greedy = run(&store, q, &Budget::unlimited(), Engine::Greedy);
+                let pairwise = run(&store, q, &Budget::unlimited(), Engine::Pairwise);
+                let wco = run(&store, q, &Budget::unlimited(), Engine::Wco);
                 let bag = sorted_rows(&wco.result);
                 assert!(!bag.is_empty(), "cyclic corpus must match something:\n{q}");
                 assert_eq!(
@@ -327,14 +285,7 @@ fn wco_actually_engages_on_the_cyclic_corpus() {
     let store = cyclic_store(200, 1600, 42);
     let q = parse_query(CYCLIC_CORPUS[0]).unwrap();
     let trace = QueryTrace::new();
-    evaluate_with(
-        &store,
-        &q,
-        &Budget::unlimited(),
-        &trace,
-        EvalOptions::default(),
-    )
-    .unwrap();
+    evaluate_with(&store, &q, &Budget::unlimited(), &trace, Engine::default()).unwrap();
     let steps = trace.plan_steps();
     assert_eq!(steps.len(), 1, "the whole group runs as one wco step");
     assert_eq!(steps[0].op, "wco");
@@ -347,29 +298,19 @@ fn toggling_the_wco_option_cannot_serve_a_stale_plan() {
     // versa.
     let store = cyclic_store(200, 1600, 42);
     let q = parse_query(CYCLIC_CORPUS[0]).unwrap();
-    let ops_with = |use_wco: bool| -> Vec<&'static str> {
+    let ops_with = |engine: Engine| -> Vec<&'static str> {
         let trace = QueryTrace::new();
-        evaluate_with(
-            &store,
-            &q,
-            &Budget::unlimited(),
-            &trace,
-            EvalOptions {
-                use_planner: true,
-                use_wco,
-            },
-        )
-        .unwrap();
+        evaluate_with(&store, &q, &Budget::unlimited(), &trace, engine).unwrap();
         trace.plan_steps().iter().map(|s| s.op).collect()
     };
-    let warm = ops_with(true);
+    let warm = ops_with(Engine::Wco);
     assert!(warm.contains(&"wco"));
-    let toggled = ops_with(false);
+    let toggled = ops_with(Engine::Pairwise);
     assert!(
         !toggled.contains(&"wco"),
         "wco-disabled run executed a cached wco plan: {toggled:?}"
     );
-    let back = ops_with(true);
+    let back = ops_with(Engine::Wco);
     assert!(back.contains(&"wco"), "re-enabling must find the wco plan");
 }
 
@@ -378,9 +319,9 @@ fn expired_deadline_degrades_all_three_engines_the_same_way() {
     let store = cyclic_store(200, 1600, 42);
     for q in CYCLIC_CORPUS {
         let budget = Budget::unlimited().with_expired_deadline();
-        let greedy = run_engine(&store, q, &budget, false, false);
-        let pairwise = run_engine(&store, q, &budget, true, false);
-        let wco = run_engine(&store, q, &budget, true, true);
+        let greedy = run(&store, q, &budget, Engine::Greedy);
+        let pairwise = run(&store, q, &budget, Engine::Pairwise);
+        let wco = run(&store, q, &budget, Engine::Wco);
         let dg = greedy.degraded.expect("greedy must degrade");
         let dw = wco.degraded.expect("wco must degrade");
         assert_eq!(dg.reason, dw.reason);
@@ -400,11 +341,16 @@ fn row_cap_yields_a_sound_subset_under_wco() {
     let store = cyclic_store(200, 1600, 42);
     let q = CYCLIC_CORPUS[0];
     let full: std::collections::HashSet<String> =
-        sorted_rows(&run_engine(&store, q, &Budget::unlimited(), true, true).result)
+        sorted_rows(&run(&store, q, &Budget::unlimited(), Engine::Wco).result)
             .into_iter()
             .collect();
-    let capped = run_engine(&store, q, &Budget::unlimited().with_row_cap(20), true, true);
-    assert!(capped.degraded.is_some(), "row cap must trip");
+    let capped = run(
+        &store,
+        q,
+        &Budget::unlimited().with_row_cap(20),
+        Engine::Wco,
+    );
+    let degraded = capped.degraded.expect("row cap must trip");
     let rows = sorted_rows(&capped.result);
     assert!(rows.len() < full.len());
     for row in &rows {
@@ -413,23 +359,44 @@ fn row_cap_yields_a_sound_subset_under_wco() {
     // Thread-invariant, like every operator.
     let serial = with_thread_override(1, || {
         sorted_rows(
-            &run_engine(&store, q, &Budget::unlimited().with_row_cap(20), true, true).result,
+            &run(
+                &store,
+                q,
+                &Budget::unlimited().with_row_cap(20),
+                Engine::Wco,
+            )
+            .result,
         )
     });
     let par = with_thread_override(4, || {
         sorted_rows(
-            &run_engine(&store, q, &Budget::unlimited().with_row_cap(20), true, true).result,
+            &run(
+                &store,
+                q,
+                &Budget::unlimited().with_row_cap(20),
+                Engine::Wco,
+            )
+            .result,
         )
     });
     assert_eq!(serial, par, "capped wco results depend on thread count");
+    assert_capped_answer_is_fixed(&store, q, 20, (rows.len(), degraded.coverage));
+    assert_eq!((rows.len(), degraded.coverage), WCO_CAPPED);
 }
+
+/// What `row_cap=20` leaves of the triangle over `cyclic_store(200,
+/// 1600, 42)` under the multiway join: nothing. A stage charges its
+/// input items, the join's candidates fit in one chunk, which the cap
+/// admits whole and which exhausts it — the decode stage then trips
+/// before its first row. Coarse, but the same coarse every time.
+const WCO_CAPPED: (usize, f64) = (0, 0.0);
 
 #[test]
 fn cancellation_degrades_wco_queries() {
     let store = cyclic_store(200, 1600, 42);
     let budget = Budget::unlimited().with_row_cap(u64::MAX);
     budget.cancel();
-    let wco = run_engine(&store, CYCLIC_CORPUS[0], &budget, true, true);
+    let wco = run(&store, CYCLIC_CORPUS[0], &budget, Engine::Wco);
     assert_eq!(
         wco.degraded.expect("cancelled").reason,
         wodex::sparql::DegradeReason::Cancelled
@@ -441,14 +408,7 @@ fn planner_engages_and_reports_steps_for_multi_pattern_queries() {
     let store = corpus_store(300, 42);
     let q = parse_query(CORPUS[1]).unwrap();
     let trace = QueryTrace::new();
-    evaluate_with(
-        &store,
-        &q,
-        &Budget::unlimited(),
-        &trace,
-        EvalOptions::default(),
-    )
-    .unwrap();
+    evaluate_with(&store, &q, &Budget::unlimited(), &trace, Engine::default()).unwrap();
     let steps = trace.plan_steps();
     assert_eq!(steps.len(), 3, "one step per pattern");
     assert_eq!(steps[0].op, "scan", "first step is always a scan");
@@ -459,4 +419,44 @@ fn planner_engages_and_reports_steps_for_multi_pattern_queries() {
     // The rendered table carries est vs. actual columns for explain.
     let table = trace.render_plan_table();
     assert!(table.contains("est_rows") && table.contains("actual_rows"));
+}
+
+// ---------------------------------------------------------------------
+// The executor's own oracle (see `common`): all three engines share the
+// step loop, so only a check that shares nothing with it can pin it.
+// ---------------------------------------------------------------------
+
+/// `LIMIT` on a group the cost-based builder plans, where the last step
+/// is a batched join, and on a single pattern, where it is a probe.
+const SLICED: &[&str] = &[
+    "PREFIX dbo: <http://dbp.example.org/ontology/>\n\
+     PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n\
+     SELECT ?s ?p ?l WHERE { ?s a dbo:City . ?s dbo:population ?p . \
+     ?s rdfs:label ?l } LIMIT 7",
+    "PREFIX dbo: <http://dbp.example.org/ontology/>\n\
+     SELECT ?s ?p WHERE { ?s dbo:population ?p } LIMIT 5",
+    "PREFIX dbo: <http://dbp.example.org/ontology/>\n\
+     SELECT ?s ?p WHERE { ?s dbo:population ?p } LIMIT 5 OFFSET 3",
+    "PREFIX dbo: <http://dbp.example.org/ontology/>\n\
+     SELECT ?s ?p WHERE { ?s dbo:population ?p } LIMIT 0",
+];
+
+#[test]
+fn every_engine_agrees_with_the_brute_force_oracle() {
+    use common::{engines_agree_with_the_oracle, tiny_store, TINY_ROWS};
+    let store = corpus_store(300, 42);
+    // Everything but the aggregate row is inside the oracle's subset.
+    assert_eq!(
+        engines_agree_with_the_oracle(&store, CORPUS),
+        CORPUS.len() - 1
+    );
+    assert_eq!(engines_agree_with_the_oracle(&store, SLICED), SLICED.len());
+    assert_eq!(
+        engines_agree_with_the_oracle(&cyclic_store(60, 300, 42), CYCLIC_CORPUS),
+        CYCLIC_CORPUS.len()
+    );
+    assert_eq!(
+        engines_agree_with_the_oracle(&tiny_store(), TINY_ROWS),
+        TINY_ROWS.len()
+    );
 }

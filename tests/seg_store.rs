@@ -13,16 +13,18 @@
 //! runs (observable through the `wodex_seg_runs_spilled` metric) and
 //! still produce the exact triple set.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use common::{cyclic_store, sorted_rows, Engine, CYCLIC_CORPUS};
 use wodex::exec::with_thread_override;
 use wodex::rdf::{ntriples, Graph};
 use wodex::seg::{load_ntriples, LoadConfig, SegmentStore};
-use wodex::sparql::{evaluate_with, parse_query, Budget, EvalOptions, QueryResult, QueryTrace};
+use wodex::sparql::{Budget, QueryResult};
 use wodex::store::{Pattern, TripleStore};
 use wodex::synth::dbpedia::{self, DbpediaConfig};
-use wodex::synth::netgen;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wodex_seg_it_{}_{}", std::process::id(), name));
@@ -48,52 +50,8 @@ fn seg_twin(store: &TripleStore, dir: &Path, cfg: &LoadConfig) -> TripleStore {
     TripleStore::with_base(dict, Arc::new(segs))
 }
 
-/// The three engines the workspace has grown, by their option sets.
-const ENGINES: &[(&str, EvalOptions)] = &[
-    (
-        "greedy",
-        EvalOptions {
-            use_planner: false,
-            use_wco: false,
-        },
-    ),
-    (
-        "pairwise",
-        EvalOptions {
-            use_planner: true,
-            use_wco: false,
-        },
-    ),
-    (
-        "wco",
-        EvalOptions {
-            use_planner: true,
-            use_wco: true,
-        },
-    ),
-];
-
-fn run(store: &TripleStore, text: &str, opts: EvalOptions) -> QueryResult {
-    let q = parse_query(text).expect("corpus parses");
-    evaluate_with(
-        store,
-        &q,
-        &Budget::unlimited(),
-        &QueryTrace::disabled(),
-        opts,
-    )
-    .expect("corpus evaluates")
-    .result
-}
-
-/// Rows as a sorted multiset fingerprint (order-insensitive compare).
-fn sorted_rows(r: &QueryResult) -> Vec<String> {
-    let mut rows: Vec<String> = match r {
-        QueryResult::Solutions(t) => t.rows.iter().map(|row| format!("{row:?}")).collect(),
-        other => vec![format!("{other:?}")],
-    };
-    rows.sort();
-    rows
+fn run(store: &TripleStore, text: &str, engine: Engine) -> QueryResult {
+    common::run(store, text, &Budget::unlimited(), engine).result
 }
 
 /// Star/chain/optional/aggregate corpus over the DBpedia-shaped synth
@@ -118,39 +76,6 @@ const DBP_CORPUS: &[&str] = &[
      SELECT DISTINCT ?t WHERE { ?a dbo:linksTo ?b . ?a a ?t }",
 ];
 
-/// Cyclic corpus — directed triangles and a square over the citation
-/// digraph, the shapes that route through the WCO triejoin.
-const CYCLIC_CORPUS: &[&str] = &[
-    "PREFIX z: <http://zipf.example.org/>\n\
-     SELECT ?a ?b ?c WHERE { ?a z:cites ?b . ?b z:cites ?c . ?c z:cites ?a }",
-    "PREFIX z: <http://zipf.example.org/>\n\
-     SELECT ?a ?b ?c ?d WHERE { ?a z:cites ?b . ?b z:cites ?c . \
-     ?c z:cites ?d . ?d z:cites ?a }",
-];
-
-/// Citation digraph with Zipf-skewed endpoints: dense in directed
-/// triangles (the WCO workload), same shape as the PR 6 benchmarks.
-fn cyclic_store(entities: usize, arcs: usize, seed: u64) -> TripleStore {
-    use wodex::rdf::{vocab::rdf, Term, Triple};
-    let ns = "http://zipf.example.org/";
-    let mut g = Graph::new();
-    for i in 0..entities {
-        g.insert(Triple::iri(
-            &format!("{ns}e{i}"),
-            rdf::TYPE,
-            Term::iri(format!("{ns}cls/Node")),
-        ));
-    }
-    for (a, b) in netgen::zipf_digraph(entities, arcs, 1.0, seed) {
-        g.insert(Triple::iri(
-            &format!("{ns}e{a}"),
-            &format!("{ns}cites"),
-            Term::iri(format!("{ns}e{b}")),
-        ));
-    }
-    TripleStore::from_graph(&g)
-}
-
 #[test]
 fn all_three_engines_agree_on_seg_and_mem_at_one_and_four_threads() {
     let workloads: Vec<(&str, TripleStore, &[&str])> = vec![
@@ -163,7 +88,9 @@ fn all_three_engines_agree_on_seg_and_mem_at_one_and_four_threads() {
             })),
             DBP_CORPUS,
         ),
-        ("cyclic", cyclic_store(150, 600, 9), CYCLIC_CORPUS),
+        // The triangles and the square: enough to route a segment-backed
+        // store through the multiway join.
+        ("cyclic", cyclic_store(150, 600, 9), &CYCLIC_CORPUS[..3]),
     ];
     for (wname, mem, corpus) in &workloads {
         let dir = tmpdir(&format!("parity_{wname}"));
@@ -186,12 +113,12 @@ fn all_three_engines_agree_on_seg_and_mem_at_one_and_four_threads() {
         for threads in [1usize, 4] {
             with_thread_override(threads, || {
                 for q in *corpus {
-                    for (ename, opts) in ENGINES {
-                        let want = sorted_rows(&run(mem, q, *opts));
-                        let got = sorted_rows(&run(&seg, q, *opts));
+                    for engine in Engine::ALL {
+                        let want = sorted_rows(&run(mem, q, engine));
+                        let got = sorted_rows(&run(&seg, q, engine));
                         assert_eq!(
                             want, got,
-                            "{wname}/{ename} differs on seg at {threads} thread(s) for:\n{q}"
+                            "{wname}/{engine:?} differs on seg at {threads} thread(s) for:\n{q}"
                         );
                     }
                 }
@@ -199,6 +126,33 @@ fn all_three_engines_agree_on_seg_and_mem_at_one_and_four_threads() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Agreeing with each other is not being right: over a segment-backed
+/// store, too, every engine answers what the brute-force oracle answers.
+#[test]
+fn every_engine_agrees_with_the_oracle_over_segments() {
+    let mem = TripleStore::from_graph(&dbpedia::generate(&DbpediaConfig {
+        entities: 300,
+        seed: 42,
+        ..Default::default()
+    }));
+    let dir = tmpdir("oracle");
+    let seg = seg_twin(
+        &mem,
+        &dir,
+        &LoadConfig {
+            block_triples: 64,
+            segment_max_triples: 512,
+            ..LoadConfig::default()
+        },
+    );
+    // Everything but the aggregate row is inside the oracle's subset.
+    assert_eq!(
+        common::engines_agree_with_the_oracle(&seg, DBP_CORPUS),
+        DBP_CORPUS.len() - 1
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -260,7 +214,7 @@ fn compaction_preserves_answers_under_query_load() {
         },
     );
     let q = DBP_CORPUS[0];
-    let want = sorted_rows(&run(&mem, q, EvalOptions::default()));
+    let want = sorted_rows(&run(&mem, q, Engine::default()));
     let stop = std::sync::atomic::AtomicBool::new(false);
     loop {
         let outcome = wodex::seg::compact_once(&dir, &wodex::seg::CompactOpts::default(), &stop)
@@ -269,7 +223,7 @@ fn compaction_preserves_answers_under_query_load() {
         // its segment files are unlinked, not truncated.
         assert_eq!(
             want,
-            sorted_rows(&run(&seg, q, EvalOptions::default())),
+            sorted_rows(&run(&seg, q, Engine::default())),
             "pre-compaction reader drifted"
         );
         if matches!(outcome, wodex::seg::CompactOutcome::Idle) {
@@ -279,7 +233,7 @@ fn compaction_preserves_answers_under_query_load() {
     // A fresh open of the compacted store answers identically too.
     let (dict, segs) = SegmentStore::open(&dir).expect("re-open");
     let fresh = TripleStore::with_base(dict, Arc::new(segs));
-    assert_eq!(want, sorted_rows(&run(&fresh, q, EvalOptions::default())));
+    assert_eq!(want, sorted_rows(&run(&fresh, q, Engine::default())));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -544,6 +544,96 @@ fn sparql_streams_chunks_that_reassemble_to_the_plain_answer() {
     rs.shutdown().expect("clean shutdown");
 }
 
+/// The SPARQL-JSON rows of a response, sorted (the engines may order an
+/// unordered answer differently).
+fn sorted_bindings(body: &str) -> Vec<String> {
+    let open = "\"bindings\":[";
+    let rows = &body[body.find(open).expect("a bindings array") + open.len()..];
+    let rows = rows.strip_suffix("]}}").expect("a closed bindings array");
+    // A row is an object of objects, so it alone ends in `}}`.
+    let mut rows: Vec<String> = rows.split_inclusive("}},").map(str::to_string).collect();
+    if let Some(last) = rows.last_mut() {
+        last.push(',');
+    }
+    rows.sort();
+    rows
+}
+
+#[test]
+fn engine_parameter_selects_a_cost_based_engine_and_nothing_else() {
+    let rs = boot(ServeConfig::default());
+    let addr = rs.addr();
+    let links = "http://dbp.example.org/ontology/linksTo";
+
+    // The greedy reference is a test oracle, not a serving option.
+    for engine in ["greedy", "nonsense", ""] {
+        let resp = post(
+            addr,
+            &format!("/sparql?engine={engine}"),
+            "ASK { ?s ?p ?o }",
+        );
+        assert_eq!(resp.status, 400, "engine={engine:?}");
+        assert!(resp.text().contains("wco, pairwise"), "{}", resp.text());
+    }
+
+    let two_patterns = format!("SELECT ?s ?p ?b WHERE {{ ?s <{POP}> ?p . ?s <{links}> ?b }}");
+    let triangle =
+        format!("SELECT ?a ?b ?c WHERE {{ ?a <{links}> ?b . ?b <{links}> ?c . ?c <{links}> ?a }}");
+    for (query, cyclic) in [(&two_patterns, false), (&triangle, true)] {
+        let wco = post(addr, "/sparql?engine=wco", query);
+        let pairwise = post(addr, "/sparql?engine=pairwise", query);
+        let default = post(addr, "/sparql", query);
+        for resp in [&wco, &pairwise, &default] {
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.header("X-Wodex-Degraded"), Some("none"));
+        }
+        // Same answer whichever engine; the default is `wco`.
+        let rows = sorted_bindings(&wco.text());
+        assert!(!rows.is_empty(), "the query must match something");
+        assert_eq!(rows, sorted_bindings(&pairwise.text()));
+        assert_eq!(wco.text(), default.text());
+        let ran_wco = |resp: &Response| {
+            let plan = resp.header("X-Wodex-Plan").expect("a planned group");
+            plan.split(',').any(|step| step.starts_with("wco:"))
+        };
+        assert_eq!(ran_wco(&wco), cyclic);
+        assert_eq!(ran_wco(&default), cyclic);
+        assert!(!ran_wco(&pairwise));
+    }
+
+    rs.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_limit_that_overflows_with_its_offset_is_answered() {
+    let rs = boot(ServeConfig::default());
+    let addr = rs.addr();
+    // usize::MAX + 2 used to wrap to one row (which OFFSET then skipped)
+    // in a release build and to panic the worker in a debug build.
+    let query = format!(
+        "SELECT ?s WHERE {{ ?s <{POP}> ?p }} LIMIT {} OFFSET 2",
+        usize::MAX
+    );
+    let resp = post(addr, "/sparql", &query);
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        resp.header("X-Wodex-Rows"),
+        Some("118"),
+        "120 cities less 2"
+    );
+    let none = post(
+        addr,
+        "/sparql",
+        &format!("SELECT ?s WHERE {{ ?s <{POP}> ?p }} LIMIT 0"),
+    );
+    assert_eq!(none.header("X-Wodex-Rows"), Some("0"));
+    // Every worker is still there to answer.
+    for _ in 0..8 {
+        assert_eq!(get(addr, "/healthz").status, 200);
+    }
+    rs.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn budget_tripped_queries_degrade_in_trailers_not_errors() {
     let rs = boot(ServeConfig::default());

@@ -19,13 +19,16 @@
 //!    deltas (the registry is process-global, so every test here
 //!    serializes on [`TEST_LOCK`]).
 
+mod common;
+
+use common::sorted_rows;
 use std::sync::Mutex;
 use std::time::Duration;
 use wodex::core::Explorer;
 use wodex::rdf::Graph;
 use wodex::serve::{RunningServer, ServeConfig, Server};
 use wodex::shard::{Coordinator, ShardClientConfig};
-use wodex::sparql::{Budget, DegradeReason, EvalOptions, QueryResult, QueryTrace};
+use wodex::sparql::{Budget, DegradeReason, Engine, QueryTrace};
 use wodex::store::ShardMap;
 use wodex::synth::dbpedia::{self, DbpediaConfig};
 
@@ -81,20 +84,8 @@ fn fleet(g: &Graph, tweak: impl Fn(u32, &mut ServeConfig)) -> (Vec<RunningServer
 
 fn ask(coord: &Coordinator, q: &str, budget: &Budget) -> wodex::shard::CoordinatedResult {
     coord
-        .query_traced_with(q, budget, &QueryTrace::new(), EvalOptions::default())
+        .query_traced_with(q, budget, &QueryTrace::new(), Engine::default())
         .expect("well-formed query never errors, whatever the fleet does")
-}
-
-/// The solution rows of a result, as a sorted canonical list.
-fn rows(r: &QueryResult) -> Vec<String> {
-    match r {
-        QueryResult::Solutions(t) => {
-            let mut v: Vec<String> = (0..t.len()).map(|i| t.json_row(i)).collect();
-            v.sort();
-            v
-        }
-        other => vec![other.to_json()],
-    }
 }
 
 #[test]
@@ -118,8 +109,8 @@ fn healthy_fleet_is_bit_identical_to_single_process() {
         );
         let base = local.sparql(q).expect("local evaluation");
         assert_eq!(
-            rows(&dist.result),
-            rows(&base),
+            sorted_rows(&dist.result),
+            sorted_rows(&base),
             "fault rate 0 must be the identity ({q})"
         );
     }
@@ -155,7 +146,11 @@ fn killing_one_of_four_shards_degrades_to_the_live_subset() {
             .degraded
             .expect("a lost shard must surface in the verdict");
         last_coverage = d.coverage;
-        assert_eq!(rows(&dist.result), rows(&expected), "sound subset");
+        assert_eq!(
+            sorted_rows(&dist.result),
+            sorted_rows(&expected),
+            "sound subset"
+        );
         let report = &dist.shards[victim as usize];
         assert!(
             report.error.is_some() || matches!(report.outcome, wodex::sparql::ShardOutcome::Failed),
@@ -206,8 +201,8 @@ fn stalled_shard_trips_its_deadline_slice_and_degrades() {
     let full = Explorer::from_graph(g.clone())
         .sparql(&q)
         .expect("full evaluation");
-    let full_rows = rows(&full);
-    for row in rows(&dist.result) {
+    let full_rows = sorted_rows(&full);
+    for row in sorted_rows(&dist.result) {
         assert!(full_rows.contains(&row), "sound subset under stall");
     }
     for w in workers {
@@ -264,8 +259,8 @@ fn flapping_shard_reopens_the_breaker_then_recovers() {
     let local = Explorer::from_graph(g.clone());
     let dist = ask(&coord, &q, &Budget::unlimited());
     assert_eq!(
-        rows(&dist.result),
-        rows(&local.sparql(&q).expect("local")),
+        sorted_rows(&dist.result),
+        sorted_rows(&local.sparql(&q).expect("local")),
         "post-recovery answers match the single-process engine again"
     );
     revived.shutdown().expect("clean revived shutdown");
