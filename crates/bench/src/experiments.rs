@@ -392,8 +392,8 @@ fn fmt_ccdf(v: &[f64]) -> String {
 pub fn e12_recommend() -> String {
     let mut out =
         String::from("E12 recommendation over the DBpedia-like dataset (top pick per property)\n");
-    let graph = workloads::dbpedia_graph(500);
-    let pipeline = wodex_viz::ldvm::LdvmPipeline::new(graph);
+    let store = wodex_store::TripleStore::from_graph(&workloads::dbpedia_graph(500));
+    let pipeline = wodex_viz::ldvm::LdvmPipeline::new(store);
     for pred in [
         "http://dbp.example.org/ontology/population",
         "http://dbp.example.org/ontology/foundingDate",

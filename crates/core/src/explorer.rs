@@ -2,15 +2,13 @@
 
 use crate::cache::ViewCache;
 use crate::WodexError;
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 use wodex_explore::session::ExplorationSession;
 use wodex_explore::{ExploreIndex, ResourceView};
 use wodex_graph::adjacency::Adjacency;
 use wodex_graph::hierarchy::{AbstractionHierarchy, HierarchyView};
 use wodex_graph::layout::{self, FrParams};
 use wodex_hetree::{HETree, Variant};
-use wodex_obs::Gauge;
 use wodex_rdf::stats::DatasetStats;
 use wodex_rdf::{Graph, RdfError, Term, Value};
 use wodex_sparql::{Budget, BudgetedResult, Degraded, QueryError, QueryResult};
@@ -26,6 +24,17 @@ const DEGRADED_VIEW_SAMPLE: usize = 512;
 
 /// Bytes of rendered SVG the explorer keeps (LRU beyond this).
 const VIEW_CACHE_BYTES: usize = 16 << 20;
+
+/// The coverage of a degraded answer built from `sampled` of a property's
+/// `total` values, in \[0, 1\]: 0 for a property with no values — nothing
+/// was there to cover.
+pub fn sampled_coverage(sampled: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        (sampled as f64 / total as f64).min(1.0)
+    }
+}
 
 /// A ready-to-render abstraction view of the dataset's link graph.
 pub struct GraphView {
@@ -79,88 +88,47 @@ impl GraphView {
     }
 }
 
-/// The two registry series describing the term-level graph of this
-/// process's explorer.
-struct GraphMetrics {
-    materialized: Arc<Gauge>,
-    build_micros: Arc<Gauge>,
-}
-
-fn graph_metrics() -> &'static GraphMetrics {
-    static METRICS: OnceLock<GraphMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = wodex_obs::global();
-        GraphMetrics {
-            materialized: r.gauge(
-                "wodex_explorer_graph_materialized",
-                "1 once the explorer holds its term-level graph, 0 before",
-            ),
-            build_micros: r.gauge_scaled(
-                "wodex_explorer_graph_build_seconds",
-                "Wall time of the explorer's term-level graph decode",
-                1e-6,
-            ),
-        }
-    })
-}
-
 /// The unified framework: one value that loads a dataset and exposes
 /// every capability of the workspace.
 ///
-/// The dataset is resident once, as the encoded [`TripleStore`]: SPARQL,
-/// the [`ExploreIndex`] (held by the explorer's own session, shared with
-/// every other), sessions, histograms and degraded charts all read it.
-/// The term-level [`Graph`] is a presentation copy that only the
-/// graph-shaped facilities need — the LDVM pipeline ([`Explorer::visualize`],
+/// The dataset is resident once, as the encoded [`TripleStore`], and in no
+/// other form: SPARQL, the [`ExploreIndex`] (held by the explorer's own
+/// session, shared with every other), sessions, histograms and degraded
+/// charts read it, and so do the LDVM pipeline ([`Explorer::visualize`],
 /// [`Explorer::recommend`], a [`Explorer::cached_view`] miss),
-/// [`Explorer::graph`], [`Explorer::shared_graph`], [`Explorer::stats`],
-/// [`Explorer::profiles`], [`Explorer::hetree`],
-/// [`Explorer::class_hierarchy`], [`Explorer::find_paths`] and
-/// [`Explorer::graph_view`]. The first call of any of them decodes it from
-/// the store, once, however many threads arrive together; an explorer
-/// that never renders a chart never holds it.
+/// [`Explorer::profiles`] and [`Explorer::hetree`] — each decodes the one
+/// property it is asked about, for the call. The whole-dataset one-shots
+/// ([`Explorer::graph`], [`Explorer::stats`], [`Explorer::class_hierarchy`],
+/// [`Explorer::find_paths`], [`Explorer::graph_view`]; no served endpoint
+/// calls them) decode a term-level [`Graph`] for the call and drop it.
 pub struct Explorer {
     store: Arc<TripleStore>,
-    /// The graph and the wall time its decode took.
-    graph: OnceLock<(Arc<Graph>, Duration)>,
-    pipeline: OnceLock<LdvmPipeline>,
+    pipeline: LdvmPipeline,
     views: ViewCache,
     session: ExplorationSession,
     prefs: UserPreferences,
 }
 
 impl Explorer {
-    /// Loads from an in-memory [`Graph`]. The graph is kept as the
-    /// explorer's presentation copy, so no graph-shaped facility decodes
-    /// anything later.
+    /// Loads from an in-memory [`Graph`]: encodes it and lets it go
+    /// before anything is built over the store.
     pub fn from_graph(graph: Graph) -> Explorer {
         let store = TripleStore::from_graph(&graph);
-        Explorer::assemble(store, Some(graph))
+        drop(graph);
+        Explorer::from_store(store)
     }
 
     /// Builds an explorer over an existing store — the entry point for
     /// servers and disk-backed datasets.
     ///
-    /// The SPARQL path and the exploration index query `store` directly,
-    /// so a segment-backed store ([`TripleStore::with_base`]) keeps its
-    /// triple data on disk and block-pages it per scan. Nothing is decoded
-    /// here: the graph-shaped facilities (see the type docs) decode their
-    /// presentation copy from `store` on first use.
+    /// Every facility queries `store` directly, so a segment-backed
+    /// store ([`TripleStore::with_base`]) keeps its triple data on disk
+    /// and block-pages it per scan.
     pub fn from_store(store: TripleStore) -> Explorer {
-        Explorer::assemble(store, None)
-    }
-
-    fn assemble(store: TripleStore, graph: Option<Graph>) -> Explorer {
         let store = Arc::new(store);
         let index = Arc::new(ExploreIndex::build(Arc::clone(&store)));
-        let m = graph_metrics();
-        m.materialized.set(i64::from(graph.is_some()));
-        m.build_micros.set(0);
         Explorer {
-            graph: graph
-                .map(|g| OnceLock::from((Arc::new(g), Duration::ZERO)))
-                .unwrap_or_default(),
-            pipeline: OnceLock::new(),
+            pipeline: LdvmPipeline::new(Arc::clone(&store)),
             views: ViewCache::new(VIEW_CACHE_BYTES),
             session: ExplorationSession::over(index),
             store,
@@ -181,51 +149,27 @@ impl Explorer {
     /// Replaces the preferences (re-wires the LDVM pipeline and drops
     /// the views rendered under the old ones).
     pub fn with_prefs(mut self, prefs: UserPreferences) -> Explorer {
+        self.pipeline = self.pipeline.with_prefs(prefs.clone());
         self.prefs = prefs;
-        self.pipeline = OnceLock::new();
         self.views.invalidate();
         self
     }
 
-    /// The graph cell, decoded from the store by the first caller.
-    fn materialized(&self) -> &(Arc<Graph>, Duration) {
-        self.graph.get_or_init(|| {
-            let started = Instant::now();
-            let graph: Graph = self
-                .store
-                .match_pattern(Pattern::any())
-                .into_iter()
-                .map(|t| self.store.decode(t))
-                .collect();
-            let build = started.elapsed();
-            let m = graph_metrics();
-            m.build_micros.set(build.as_micros() as i64);
-            m.materialized.set(1);
-            (Arc::new(graph), build)
-        })
+    /// The dataset as a term-level [`Graph`], decoded from the store for
+    /// this call: nothing keeps it, so hold the value rather than asking
+    /// twice.
+    pub fn graph(&self) -> Graph {
+        self.store
+            .match_pattern(Pattern::any())
+            .into_iter()
+            .map(|t| self.store.decode(t))
+            .collect()
     }
 
-    /// The LDVM pipeline over the graph, under the current preferences.
-    fn pipeline(&self) -> &LdvmPipeline {
-        self.pipeline
-            .get_or_init(|| LdvmPipeline::new(self.shared_graph()).with_prefs(self.prefs.clone()))
-    }
-
-    /// The loaded graph (decoded from the store on first use).
-    pub fn graph(&self) -> &Graph {
-        &self.materialized().0
-    }
-
-    /// The shared graph handle (decoded from the store on first use).
+    /// [`Explorer::graph`] behind an [`Arc`], for callers that want to
+    /// share the one they decoded.
     pub fn shared_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.materialized().0)
-    }
-
-    /// How long decoding the term-level graph took: `None` while no
-    /// graph-shaped facility has asked for it, zero when
-    /// [`Explorer::from_graph`] was handed it.
-    pub fn graph_build_time(&self) -> Option<Duration> {
-        self.graph.get().map(|(_, build)| *build)
+        Arc::new(self.graph())
     }
 
     /// The shared exploration index. Servers open further
@@ -254,7 +198,7 @@ impl Explorer {
 
     /// Dataset statistics (the "Statistics" facility of Table 1).
     pub fn stats(&self) -> DatasetStats {
-        DatasetStats::of(self.graph())
+        DatasetStats::of(&self.graph())
     }
 
     /// Runs a SPARQL-subset query.
@@ -264,20 +208,20 @@ impl Explorer {
 
     /// Profiles every property (the recommendation wizard's first step).
     pub fn profiles(&self) -> Vec<FieldProfile> {
-        wodex_viz::profile::profile_graph(self.graph())
+        wodex_viz::profile::profile_store(&self.store)
     }
 
     /// Ranked chart recommendations for one property.
     pub fn recommend(&self, predicate: &str) -> Vec<Recommendation> {
-        let pipeline = self.pipeline();
-        pipeline.recommendations(&pipeline.analyze_property(predicate))
+        self.pipeline
+            .recommendations(&self.pipeline.analyze_property(predicate))
     }
 
     /// Runs the full LDVM pipeline for a property with the top-ranked
     /// chart type. Always renders; [`Explorer::cached_view`] is the
     /// memoized form.
     pub fn visualize(&self, predicate: &str) -> View {
-        self.pipeline().run(predicate)
+        self.pipeline.run(predicate)
     }
 
     /// [`Explorer::visualize`] through the explorer's single-flight view
@@ -290,8 +234,8 @@ impl Explorer {
 
     /// Like [`Explorer::visualize`] with an explicit chart type.
     pub fn visualize_as(&self, predicate: &str, kind: VisKind) -> View {
-        let pipeline = self.pipeline();
-        pipeline.view(&pipeline.analyze_property(predicate), Some(kind))
+        self.pipeline
+            .view(&self.pipeline.analyze_property(predicate), Some(kind))
     }
 
     /// The interactive exploration session (facets, zoom, search, undo).
@@ -313,9 +257,8 @@ impl Explorer {
     /// exploration (SynopsViz-style). Items carry the store's term id of
     /// their subject as payload.
     pub fn hetree(&self, predicate: &str, variant: Variant) -> HETree {
-        let items: Vec<(f64, u64)> = self
-            .graph()
-            .triples_for_predicate(predicate)
+        let items: Vec<(f64, u64)> = wodex_viz::profile::property_graph(&self.store, predicate)
+            .iter()
             .filter_map(|t| {
                 let v = t.object.as_literal().map(Value::from_literal)?;
                 let x = v
@@ -472,7 +415,7 @@ impl Explorer {
     /// Extracts the `rdfs:subClassOf` class hierarchy with instance
     /// counts (the §3.5 ontology-visualization substrate).
     pub fn class_hierarchy(&self) -> wodex_rdf::ClassHierarchy {
-        wodex_rdf::ClassHierarchy::extract(self.graph())
+        wodex_rdf::ClassHierarchy::extract(&self.graph())
     }
 
     /// RelFinder-style relationship discovery: the shortest connecting
@@ -484,7 +427,7 @@ impl Explorer {
         max_hops: usize,
         max_paths: usize,
     ) -> Vec<wodex_explore::relfind::Path> {
-        wodex_explore::relfind::find_paths(self.graph(), a, b, max_hops, max_paths)
+        wodex_explore::relfind::find_paths(&self.graph(), a, b, max_hops, max_paths)
     }
 
     /// Runs a SPARQL-subset query under a [`Budget`].
@@ -553,11 +496,7 @@ impl Explorer {
             .explore_index()
             .numeric_column(predicate)
             .sample(DEGRADED_VIEW_SAMPLE.min(granted as usize));
-        let coverage = if total == 0 {
-            0.0
-        } else {
-            (sample.len() as f64 / total as f64).min(1.0)
-        };
+        let coverage = sampled_coverage(sample.len() as u64, total as u64);
         let hist = wodex_approx::binning::Histogram::build(
             &sample,
             self.prefs.bins,
@@ -584,7 +523,7 @@ impl Explorer {
     /// Builds the abstraction-hierarchy view of the dataset's link graph
     /// (graphVizdb/ASK-GraphView style).
     pub fn graph_view(&self) -> GraphView {
-        let (adjacency, nodes) = Adjacency::from_rdf(self.graph());
+        let (adjacency, nodes) = Adjacency::from_rdf(&self.graph());
         let hierarchy = AbstractionHierarchy::build(adjacency.clone(), 12, 42);
         GraphView {
             adjacency,
@@ -616,61 +555,6 @@ mod tests {
         let ex = Explorer::from_ntriples(nt).unwrap();
         assert_eq!(ex.store().len(), 1);
         assert!(Explorer::from_turtle("garbage {").is_err());
-    }
-
-    #[test]
-    fn from_graph_keeps_the_graph_it_was_given() {
-        // The cell is seeded at construction: `graph()` finds it filled
-        // and decodes nothing.
-        let ex = explorer();
-        assert_eq!(ex.graph_build_time(), Some(Duration::ZERO));
-        assert_eq!(ex.graph().len(), ex.store().len());
-        assert_eq!(ex.graph_build_time(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn from_store_decodes_the_graph_on_first_graph_shaped_use_only() {
-        let pop = "http://dbp.example.org/ontology/population";
-        let mut ex = Explorer::from_store(TripleStore::from_graph(explorer().graph()));
-        ex.sparql("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
-        ex.session().filter(
-            wodex_rdf::vocab::rdf::TYPE,
-            "http://dbp.example.org/ontology/City",
-        );
-        assert!(!ex.search("city", 10).is_empty());
-        ex.details(&Term::iri("http://dbp.example.org/resource/E0"));
-        assert_eq!(ex.property_triples(pop), 300);
-        // A chart the budget cannot afford is sampled off the index.
-        let tight = wodex_sparql::Budget::unlimited().with_row_cap(1);
-        assert!(ex.visualize_budgeted(pop, &tight).1.is_some());
-        assert_eq!(ex.graph_build_time(), None, "nothing above needs it");
-        let ex = ex.with_prefs(UserPreferences::default());
-        assert_eq!(ex.graph_build_time(), None, "nor does re-wiring");
-        // The first render does, once, and re-wiring keeps it.
-        assert_eq!(ex.visualize(pop).svg, explorer().visualize(pop).svg);
-        let built = ex.graph_build_time().expect("decoded by the render");
-        let ex = ex.with_prefs(UserPreferences::default());
-        ex.visualize(pop);
-        assert_eq!(ex.graph_build_time(), Some(built));
-    }
-
-    #[test]
-    fn concurrent_first_uses_share_one_decode() {
-        let ex = Explorer::from_store(TripleStore::from_graph(explorer().graph()));
-        let barrier = std::sync::Barrier::new(8);
-        let graphs: Vec<Arc<Graph>> = std::thread::scope(|scope| {
-            let users: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        ex.shared_graph()
-                    })
-                })
-                .collect();
-            users.into_iter().map(|u| u.join().unwrap()).collect()
-        });
-        assert!(graphs.iter().all(|g| Arc::ptr_eq(g, &graphs[0])));
-        assert_eq!(*graphs[0], *explorer().graph());
     }
 
     #[test]

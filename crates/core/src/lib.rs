@@ -27,5 +27,5 @@ mod explorer;
 
 pub use cache::ViewCache;
 pub use error::WodexError;
-pub use explorer::{Explorer, GraphView};
+pub use explorer::{sampled_coverage, Explorer, GraphView};
 pub use wodex_sparql::{Budget, BudgetedResult, DegradeReason, Degraded};

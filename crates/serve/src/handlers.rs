@@ -45,12 +45,10 @@
 //! distinctly. Folding live snapshots into the exploration engines is
 //! the open item tracked in ROADMAP.md.
 //!
-//! The term-level graph is not part of that resident state. `/viz/chart`
-//! and `/viz/recommend` decode it from the explorer's store on their
-//! first view-cache miss (once per process; `"explorer"` in `/stats`
-//! says whether and how long); `/sparql`, `/data`, `/explore/*`,
-//! `/viz/hist`, `/shard/*` and a `/viz/chart` whose budget degrades it to
-//! the sampled histogram never do.
+//! No term-level copy of the dataset exists beside that state: a
+//! `/viz/chart` or `/viz/recommend` that misses the view cache decodes
+//! the one property it draws (a POS range of the explorer's store; an
+//! unknown predicate reads nothing) for the call and drops it.
 
 use crate::http::{read_request, write_response, ChunkedWriter, ParseError, Request};
 use crate::server::{wake, AppState};
@@ -261,7 +259,6 @@ fn stats(state: &AppState, out: &mut TcpStream) {
     let gv = wodex_obs::global().gauge_values();
     let counter = |name: &str| cv.get(name).copied().unwrap_or(0);
     let gauge = |name: &str| gv.get(name).copied().unwrap_or(0);
-    let graph_build = state.explorer.graph_build_time();
     let body = format!(
         concat!(
             "{{\"requests\":{{\"accepted\":{},\"admitted\":{},\"completed\":{},",
@@ -273,7 +270,6 @@ fn stats(state: &AppState, out: &mut TcpStream) {
             "\"segcache\":{{\"lookups\":{},\"hits\":{},\"misses\":{},",
             "\"evictions\":{},\"bytes\":{}}},",
             "\"explore_index\":{{\"bytes\":{},\"build_seconds\":{}}},",
-            "\"explorer\":{{\"graph_materialized\":{},\"graph_build_seconds\":{}}},",
             "\"viewcache\":{{\"lookups\":{},\"hits\":{},\"misses\":{},\"renders\":{}}},",
             "\"config\":{{\"workers\":{},\"queue_depth\":{},\"deadline_ms\":{},\"row_cap\":{}}},",
             "{}\"uptime_ms\":{}}}"
@@ -305,8 +301,6 @@ fn stats(state: &AppState, out: &mut TcpStream) {
         gauge("wodex_explore_index_bytes"),
         // The gauge's raw unit is microseconds.
         json_f64(gauge("wodex_explore_index_build_seconds") as f64 / 1e6),
-        graph_build.is_some(),
-        json_f64(graph_build.unwrap_or_default().as_secs_f64()),
         counter("wodex_viewcache_lookups_total"),
         counter("wodex_viewcache_hits_total"),
         counter("wodex_viewcache_misses_total"),
@@ -903,7 +897,7 @@ fn viz_hist(state: &AppState, req: &Request, out: &mut TcpStream) {
     let (scanned, tripped) = budget.charge_rows_up_to(total);
     let degraded = tripped.map(|reason| Degraded {
         reason,
-        coverage: scanned as f64 / total as f64,
+        coverage: wodex_core::sampled_coverage(scanned, total),
     });
     if degraded.is_some() {
         state.counters.inc_degraded();

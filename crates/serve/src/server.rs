@@ -269,7 +269,8 @@ pub struct DatasetSummary {
 
 /// Shared state every worker sees.
 pub struct AppState {
-    /// The loaded dataset and all derived engines.
+    /// The loaded dataset — resident once, as the explorer's encoded
+    /// store — and all derived engines.
     pub explorer: Explorer,
     /// Precomputed dataset shape for `/stats`.
     pub dataset: DatasetSummary,

@@ -3,7 +3,7 @@
 //! LDVM \[29\] (Brunetti, Auer, García, Klímek & Nečaský) structures WoD
 //! visualization as four connected stages:
 //!
-//! 1. **Source Data** — the RDF graph (or SPARQL result) as-is.
+//! 1. **Source Data** — the dataset as-is: the encoded triple store.
 //! 2. **Analytical Abstraction** — data extracted & *reduced*: here a
 //!    profiled property turned into a histogram / category counts /
 //!    points / a laid-out network (this is where `wodex-approx` does the
@@ -19,7 +19,7 @@
 
 use crate::charts;
 use crate::prefs::UserPreferences;
-use crate::profile::{profile_triples, DataKind, FieldProfile};
+use crate::profile::{profile_triples, property_graph, DataKind, FieldProfile};
 use crate::recommend::{recommend, Recommendation, VisKind};
 use crate::render;
 use crate::scene::Scene;
@@ -28,6 +28,7 @@ use wodex_graph::adjacency::Adjacency;
 use wodex_graph::layout::{self, FrParams, Layout};
 use wodex_rdf::vocab::geo;
 use wodex_rdf::{Graph, Term, Triple, Value};
+use wodex_store::TripleStore;
 
 /// Stage 2 output: the reduced, visualization-ready form of the data.
 #[derive(Debug, Clone)]
@@ -110,22 +111,31 @@ pub trait Analyzer: Send + Sync {
     fn name(&self) -> &str;
     /// True if this analyzer wants to handle the property.
     fn applies(&self, profile: &FieldProfile) -> bool;
-    /// Builds the abstraction (stage 2) for the property.
-    fn analyze(&self, source: &Graph, predicate: &str, prefs: &UserPreferences) -> Abstraction;
+    /// Builds the abstraction (stage 2) for the property, reading what
+    /// it needs off the source store (one property is
+    /// [`property_graph`]).
+    fn analyze(
+        &self,
+        source: &TripleStore,
+        predicate: &str,
+        prefs: &UserPreferences,
+    ) -> Abstraction;
 }
 
-/// The four-stage pipeline over one source graph. The graph is shared,
-/// not owned: a pipeline beside an explorer reads the explorer's graph.
+/// The four-stage pipeline over one source store. The store is shared,
+/// not owned — a pipeline beside an explorer reads the explorer's store —
+/// and no copy of the dataset is made: stage 2 decodes the one property
+/// it is asked about, for the call.
 pub struct LdvmPipeline {
-    source: Arc<Graph>,
+    source: Arc<TripleStore>,
     prefs: UserPreferences,
     analyzers: Vec<Box<dyn Analyzer>>,
 }
 
 impl LdvmPipeline {
-    /// Stage 1: wraps the source data (an owned [`Graph`] or a shared
-    /// handle to one).
-    pub fn new(source: impl Into<Arc<Graph>>) -> LdvmPipeline {
+    /// Stage 1: wraps the source data (an owned [`TripleStore`] or a
+    /// shared handle to one).
+    pub fn new(source: impl Into<Arc<TripleStore>>) -> LdvmPipeline {
         LdvmPipeline {
             source: source.into(),
             prefs: UserPreferences::default(),
@@ -146,16 +156,15 @@ impl LdvmPipeline {
         self
     }
 
-    /// The source graph.
-    pub fn source(&self) -> &Graph {
-        &self.source
-    }
-
     /// Stage 2 for a single property: profile it and build the matching
-    /// reduced abstraction. The property's triples are gathered in one
-    /// pass over the source; profile and abstraction both read that.
+    /// reduced abstraction. The property's triples are one POS range of
+    /// the source (nothing is read for a predicate it does not have),
+    /// put in term order before anything folds over them — the result
+    /// does not depend on the store's id order. Profile and abstraction
+    /// both read that one slice.
     pub fn analyze_property(&self, predicate: &str) -> Abstraction {
-        let triples: Vec<&Triple> = self.source.triples_for_predicate(predicate).collect();
+        let property = property_graph(&self.source, predicate);
+        let triples: Vec<&Triple> = property.iter().collect();
         let profile = profile_triples(predicate, &triples);
         if let Some(a) = self.analyzers.iter().find(|a| a.applies(&profile)) {
             return a.analyze(&self.source, predicate, &self.prefs);
@@ -183,10 +192,9 @@ impl LdvmPipeline {
             },
             DataKind::Graph => {
                 // Induce the subgraph of this object property.
-                let sub: Graph = triples
-                    .iter()
+                let sub: Graph = property
+                    .into_iter()
                     .filter(|t| t.object.is_resource())
-                    .map(|&t| t.clone())
                     .collect();
                 let (adj, _) = Adjacency::from_rdf(&sub);
                 let lay = layout::fruchterman_reingold(
@@ -220,26 +228,21 @@ impl LdvmPipeline {
         }
     }
 
-    /// Extracts (lat, lon) pairs joined per subject.
+    /// Extracts (lat, lon) pairs joined per subject, in subject order; a
+    /// subject with several coordinates keeps its last in term order.
     fn extract_geo(&self) -> Vec<(f64, f64)> {
-        let mut lat: std::collections::BTreeMap<&Term, f64> = Default::default();
-        let mut lon: std::collections::BTreeMap<&Term, f64> = Default::default();
-        for t in self.source.iter() {
-            if let Some(l) = t.object.as_literal() {
-                if let Some(v) = Value::from_literal(l).as_f64() {
-                    if t.predicate.as_iri().is_some_and(|p| p.as_str() == geo::LAT) {
-                        lat.insert(&t.subject, v);
-                    } else if t
-                        .predicate
-                        .as_iri()
-                        .is_some_and(|p| p.as_str() == geo::LONG)
-                    {
-                        lon.insert(&t.subject, v);
-                    }
-                }
-            }
-        }
-        lat.iter()
+        let coordinates = |predicate: &str| -> std::collections::BTreeMap<Term, f64> {
+            property_graph(&self.source, predicate)
+                .into_iter()
+                .filter_map(|t| {
+                    let v = Value::from_literal(t.object.as_literal()?).as_f64()?;
+                    Some((t.subject, v))
+                })
+                .collect()
+        };
+        let lon = coordinates(geo::LONG);
+        coordinates(geo::LAT)
+            .iter()
             .filter_map(|(s, &la)| lon.get(s).map(|&lo| (la, lo)))
             .collect()
     }
@@ -324,7 +327,7 @@ mod tests {
     use wodex_rdf::vocab::rdf;
     use wodex_rdf::Triple;
 
-    fn source() -> Graph {
+    fn source() -> TripleStore {
         let mut g = Graph::new();
         for i in 0..300 {
             let s = format!("http://e.org/e{i}");
@@ -354,7 +357,7 @@ mod tests {
                 Term::iri(format!("http://e.org/e{}", (i + 1) % 300)),
             ));
         }
-        g
+        TripleStore::from_graph(&g)
     }
 
     #[test]
@@ -431,6 +434,54 @@ mod tests {
         assert_eq!(v.kind, VisKind::Treemap, "boost must win stage 3");
     }
 
+    /// A base region that counts the scans it serves.
+    #[derive(Debug)]
+    struct CountingBase {
+        inner: TripleStore,
+        scans: std::sync::atomic::AtomicUsize,
+    }
+
+    impl wodex_store::SegmentSource for CountingBase {
+        fn source_len(&self) -> usize {
+            self.inner.source_len()
+        }
+        fn scan(
+            &self,
+            pat: wodex_store::Pattern,
+        ) -> Result<Vec<wodex_store::EncodedTriple>, wodex_store::StoreError> {
+            self.scans
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.scan(pat)
+        }
+        fn estimate(&self, pat: wodex_store::Pattern) -> usize {
+            self.inner.estimate(pat)
+        }
+        fn source_stats(&self) -> wodex_store::StoreStats {
+            self.inner.source_stats()
+        }
+    }
+
+    #[test]
+    fn an_unknown_predicate_scans_nothing_and_a_known_one_scans_its_range() {
+        let inner = source();
+        let dict = inner.dict().clone();
+        let base = Arc::new(CountingBase {
+            inner,
+            scans: Default::default(),
+        });
+        let scans = || base.scans.load(std::sync::atomic::Ordering::Relaxed);
+        let p = LdvmPipeline::new(TripleStore::with_base(dict, base.clone()));
+        match p.analyze_property("http://e.org/no-such-property") {
+            Abstraction::Categories { profile, pairs } => {
+                assert_eq!((profile.count, pairs.len()), (0, 0));
+            }
+            other => panic!("expected empty categories, got {other:?}"),
+        }
+        assert_eq!(scans(), 0, "the dictionary answers for an unknown IRI");
+        p.analyze_property("http://e.org/value");
+        assert_eq!(scans(), 1, "one POS range, not a pass over the dataset");
+    }
+
     #[test]
     fn views_carry_their_recommendation_provenance() {
         let p = LdvmPipeline::new(source());
@@ -445,7 +496,7 @@ mod geo_budget_tests {
     use super::*;
     use wodex_rdf::{Graph, Term, Triple};
 
-    fn geo_source(n: usize) -> Graph {
+    fn geo_source(n: usize) -> TripleStore {
         let mut g = Graph::new();
         for i in 0..n {
             let s = format!("http://e.org/p{i}");
@@ -460,7 +511,7 @@ mod geo_budget_tests {
                 Term::double(23.0 + (i / 100) as f64 * 0.01),
             ));
         }
-        g
+        TripleStore::from_graph(&g)
     }
 
     #[test]
@@ -512,9 +563,14 @@ mod analyzer_tests {
                     .is_some_and(|s| s.min > 0.0 && s.max / s.min.max(1e-12) > 1e3)
         }
 
-        fn analyze(&self, source: &Graph, predicate: &str, prefs: &UserPreferences) -> Abstraction {
-            let values: Vec<f64> = source
-                .triples_for_predicate(predicate)
+        fn analyze(
+            &self,
+            source: &TripleStore,
+            predicate: &str,
+            prefs: &UserPreferences,
+        ) -> Abstraction {
+            let values: Vec<f64> = property_graph(source, predicate)
+                .iter()
                 .filter_map(|t| t.object.as_literal())
                 .map(Value::from_literal)
                 .filter_map(|v| v.as_f64())
@@ -536,7 +592,7 @@ mod analyzer_tests {
         }
     }
 
-    fn heavy_tailed_source() -> Graph {
+    fn heavy_tailed_source() -> TripleStore {
         let mut g = Graph::new();
         for i in 0..500usize {
             g.insert(Triple::iri(
@@ -545,7 +601,7 @@ mod analyzer_tests {
                 Term::double(10f64.powf(1.0 + (i % 500) as f64 / 100.0)),
             ));
         }
-        g
+        TripleStore::from_graph(&g)
     }
 
     #[test]
@@ -578,7 +634,8 @@ mod analyzer_tests {
                 Term::double(50.0 + (i % 10) as f64),
             ));
         }
-        let p = LdvmPipeline::new(g).with_analyzer(Box::new(LogHistogram));
+        let p =
+            LdvmPipeline::new(TripleStore::from_graph(&g)).with_analyzer(Box::new(LogHistogram));
         let a = p.analyze_property("http://e.org/v");
         match &a {
             Abstraction::Distribution { profile, .. } => {

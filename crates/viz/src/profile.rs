@@ -8,7 +8,8 @@
 
 use wodex_rdf::stats::NumericSummary;
 use wodex_rdf::vocab::geo;
-use wodex_rdf::{Graph, Term, Triple, Value};
+use wodex_rdf::{Graph, Iri, Term, TermId, Triple, Value};
+use wodex_store::{Pattern, TripleStore};
 
 /// The data-type taxonomy of the survey's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,18 +157,34 @@ pub fn profile_triples(predicate: &str, triples: &[&Triple]) -> FieldProfile {
     FieldProfile::detect(predicate, &literal_values())
 }
 
-/// Profiles every predicate of a graph (the dataset-level view a
-/// recommendation wizard starts from).
-pub fn profile_graph(graph: &Graph) -> Vec<FieldProfile> {
-    let mut predicates: Vec<String> = graph
-        .predicates()
-        .into_iter()
-        .filter_map(|t| t.as_iri().map(|i| i.as_str().to_string()))
+/// The triples of one predicate IRI, decoded into a [`Graph`] — so in
+/// term order whatever id order `store` has. One POS range read; a
+/// predicate the dictionary does not know reads nothing.
+pub fn property_graph(store: &TripleStore, predicate: &str) -> Graph {
+    let Some(p) = store.dict().id_of_iri(predicate) else {
+        return Graph::new();
+    };
+    let range = store.match_decoded(Pattern::any().with_p(p));
+    range.into_iter().collect()
+}
+
+/// Profiles every predicate of a store, in predicate IRI order (the
+/// dataset-level view a recommendation wizard starts from): one id-level
+/// pass for the predicates, then each property's own range.
+pub fn profile_store(store: &TripleStore) -> Vec<FieldProfile> {
+    let mut ids: std::collections::BTreeSet<u32> = Default::default();
+    store.match_pattern_chunks(Pattern::any(), &mut |chunk| {
+        ids.extend(chunk.iter().map(|t| t[1]));
+        true
+    });
+    let mut predicates: Vec<&str> = ids
+        .iter()
+        .filter_map(|&p| store.term(TermId(p)).as_iri().map(Iri::as_str))
         .collect();
-    predicates.sort();
+    predicates.sort_unstable();
     predicates
         .into_iter()
-        .map(|p| profile_property(graph, &p))
+        .map(|p| profile_property(&property_graph(store, p), p))
         .collect()
 }
 
@@ -268,9 +285,8 @@ mod tests {
     }
 
     #[test]
-    fn profile_graph_covers_all_predicates() {
-        let g = geo_graph();
-        let profiles = profile_graph(&g);
+    fn profile_store_covers_all_predicates() {
+        let profiles = profile_store(&TripleStore::from_graph(&geo_graph()));
         assert_eq!(profiles.len(), 4);
         let kinds: std::collections::HashMap<&str, DataKind> =
             profiles.iter().map(|p| (p.name.as_str(), p.kind)).collect();

@@ -73,8 +73,8 @@ fn main() {
     );
 
     // -- Guidance: interesting regions -------------------------------------
-    let pops: Vec<f64> = ex
-        .graph()
+    let graph = ex.graph();
+    let pops: Vec<f64> = graph
         .triples_for_predicate(&format!("{ns}ontology/population"))
         .filter_map(|t| t.object.as_literal().map(Value::from_literal))
         .filter_map(|v| v.as_f64())
@@ -90,13 +90,11 @@ fn main() {
     // -- Explanation: why is one class's mean population anomalous? -------
     // Build records (population, {class, category}) and explain the
     // deviation of the overall mean from the City-only mean.
-    let records: Vec<Record> = ex
-        .graph()
+    let records: Vec<Record> = graph
         .triples_for_predicate(&format!("{ns}ontology/population"))
         .filter_map(|t| {
             let v = t.object.as_literal().map(Value::from_literal)?.as_f64()?;
-            let class = ex
-                .graph()
+            let class = graph
                 .types_of(&t.subject)
                 .first()
                 .map(|c| c.local_name().to_string())?;

@@ -102,7 +102,7 @@ fn main() {
     }
 
     // -- Fisheye focus on the entity chain -------------------------------------
-    let (adj, _) = Adjacency::from_rdf(ex.graph());
+    let (adj, _) = Adjacency::from_rdf(&ex.graph());
     let lay = layout::fruchterman_reingold(
         &adj,
         FrParams {

@@ -170,7 +170,7 @@ expect "stats" '"renders":1'
 curl -sf -X POST "$BASE/admin/shutdown" > /dev/null
 wait "$EXPLORE_PID" || { echo "verify: FAIL — explore smoke server exited non-zero"; exit 1; }
 
-echo "==> segment-boot smoke (one resident store, no graph until the first chart)"
+echo "==> segment-boot smoke (one resident store, no second copy across a chart)"
 ./target/release/wodex load "$SMOKE_DIR/explore.nt" --out "$SMOKE_DIR/explore_seg" > /dev/null
 ./target/release/wodex serve "seg:$SMOKE_DIR/explore_seg" --workers 2 \
     > "$SMOKE_DIR/segboot.log" 2>&1 &
@@ -194,20 +194,22 @@ expect "explore/filter?$S&$CATEGORY&value=http%3A%2F%2Fex.org%2Fcat3" '"matching
 expect "explore/details?$S&iri=http%3A%2F%2Fex.org%2Fe7" '"label":"item 7 '
 expect "explore/undo?$S" '"matching":5000'
 expect "viz/hist?$POPULATION&bins=16" '"values":5000'
-# Queries, a click cycle and a histogram decode no graph and leave no
-# block of the boot scan behind; the first chart decodes the graph.
-expect "stats" '"explorer":{"graph_materialized":false,'
+# Nothing leaves a block of the boot scan behind, and nothing — a chart
+# and a ranking included — makes a second copy of the dataset.
 expect "stats" '"evictions":0,"bytes":0}'
-# Measured 12.3–12.7 MB at this point (26 MB once the chart below has
-# decoded the graph; 26.9 MB at this point when boot still decoded the
-# graph and copied the store); allow 2x.
+expect "viz/chart?$POPULATION" '<svg'
+expect "viz/recommend?$POPULATION" '"recommendations":[{'
+# Measured 14.8 MB at this point, 12.0 MB before the chart (26 MB when a
+# chart decoded a whole-dataset graph and kept it).
 HWM_KB=$(awk '/^VmHWM:/ { print $2 }' "/proc/$SEGBOOT_PID/status")
 [ "$HWM_KB" -lt 25000 ] || {
-    echo "verify: FAIL — segment-booted server peaked at ${HWM_KB} kB before any chart (limit 25000)"
+    echo "verify: FAIL — segment-booted server peaked at ${HWM_KB} kB across a chart (limit 25000)"
     exit 1
 }
-expect "viz/chart?$POPULATION" '<svg'
-expect "stats" '"explorer":{"graph_materialized":true,'
+if curl -sf "$BASE/metrics" | grep -q 'wodex_explorer_graph_'; then
+    echo "verify: FAIL — /metrics still carries a wodex_explorer_graph_ series"
+    exit 1
+fi
 curl -sf -X POST "$BASE/admin/shutdown" > /dev/null
 wait "$SEGBOOT_PID" || { echo "verify: FAIL — segment-boot smoke server exited non-zero"; exit 1; }
 grep -q "shut down cleanly" "$SMOKE_DIR/segboot.log" || {

@@ -24,8 +24,8 @@
 //! for the one-shot subcommands triple data stays on disk and is
 //! block-paged per scan. `wodex serve --store seg:<dir>` scans the
 //! segments once into the one resident store every endpoint shares (no
-//! parse, no second copy, no term-level graph until a chart asks for
-//! one) and additionally runs `wodex-seg`'s background compaction,
+//! parse, no second copy, no term-level graph) and additionally runs
+//! `wodex-seg`'s background compaction,
 //! stopped cleanly on `POST /admin/shutdown` or SIGTERM.
 //!
 //! Sharded serving: `--shard K/N` keeps only shard `K` of an `N`-way
@@ -498,16 +498,15 @@ fn serve(ex: Explorer, seg_dir: Option<std::path::PathBuf>, rest: &[String]) -> 
     let ex = match cfg.shard {
         Some((k, n)) => {
             let map = wodex::store::ShardMap::new(n);
-            let part = map.partition(ex.graph(), k);
+            let part = shard_part(ex.store(), &map, k);
             println!(
                 "shard {k}/{n}: keeping {} of {} triples",
                 part.len(),
-                ex.graph().len()
+                ex.store().len()
             );
-            // The whole dataset (and the graph just decoded from it) goes
-            // before the shard's own store is built.
+            // The whole dataset goes before the shard's own store is built.
             drop(ex);
-            resident(&part)
+            Explorer::from_graph(part)
         }
         None => ex,
     };
@@ -575,6 +574,32 @@ fn parse_shard_spec(v: &str) -> Option<(u32, u32)> {
     (n >= 1 && k < n).then_some((k, n))
 }
 
+/// Shard `k`'s part of `store` ([`wodex::store::ShardMap::partition`]
+/// straight off the encoded store): one SPO scan, the owner hashed once
+/// per subject run, and only the triples the shard owns decoded.
+fn shard_part(
+    store: &wodex::store::TripleStore,
+    map: &wodex::store::ShardMap,
+    k: u32,
+) -> wodex::rdf::Graph {
+    let mut part = wodex::rdf::Graph::new();
+    let mut run: Option<(u32, bool)> = None;
+    store.match_pattern_chunks(wodex::store::Pattern::any(), &mut |chunk| {
+        for &t in chunk {
+            let owned = match run {
+                Some((s, owned)) if s == t[0] => owned,
+                _ => map.shard_of(store.term(wodex::rdf::TermId(t[0]))) == k,
+            };
+            run = Some((t[0], owned));
+            if owned {
+                part.insert(store.decode(t));
+            }
+        }
+        true
+    });
+    part
+}
+
 /// Parses a `.nt` (N-Triples) or any other (Turtle) document.
 fn parse_document(path: &str) -> Result<wodex::rdf::Graph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
@@ -587,7 +612,7 @@ fn parse_document(path: &str) -> Result<wodex::rdf::Graph, String> {
 
 /// The dataset of a one-shot subcommand. A `seg:` store stays on disk —
 /// the command reads the blocks it needs and exits — and a parsed
-/// document is handed to the explorer as its graph.
+/// document is encoded into an in-memory store.
 fn load(path: &str) -> Result<Explorer, String> {
     if let Some(dir) = path.strip_prefix("seg:") {
         let (dict, store) =
@@ -606,7 +631,7 @@ fn load(path: &str) -> Result<Explorer, String> {
 fn load_resident(path: &str) -> Result<Explorer, String> {
     use wodex::store::{Pattern, SegmentSource, TripleStore};
     let Some(dir) = path.strip_prefix("seg:") else {
-        return Ok(resident(&parse_document(path)?));
+        return Ok(Explorer::from_graph(parse_document(path)?));
     };
     let (dict, mut segments) =
         wodex::seg::SegmentStore::open(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
@@ -622,11 +647,6 @@ fn load_resident(path: &str) -> Result<Explorer, String> {
     Ok(Explorer::from_store(TripleStore::from_encoded(
         dict, triples,
     )))
-}
-
-/// An explorer holding `graph` as a store only (see [`load_resident`]).
-fn resident(graph: &wodex::rdf::Graph) -> Explorer {
-    Explorer::from_store(wodex::store::TripleStore::from_graph(graph))
 }
 
 /// Installs a SIGTERM handler (raw `signal(2)` — the workspace is
@@ -668,4 +688,24 @@ fn usage() -> &'static str {
        wodex serve [--store] <file.{ttl,nt} | seg:dir> [--port N] [--workers N] [--queue N] [--deadline-ms N] [--sessions N]
                    [--shard K/N] [--coordinator shards.txt]
        wodex tables"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shard_part_is_the_partition_of_the_decoded_graph() {
+        let graph = wodex::synth::dbpedia::generate(&wodex::synth::dbpedia::DbpediaConfig {
+            entities: 60,
+            ..Default::default()
+        });
+        let store = wodex::store::TripleStore::from_graph(&graph);
+        let map = wodex::store::ShardMap::new(3);
+        for k in 0..3 {
+            let part = shard_part(&store, &map, k);
+            assert!(!part.is_empty());
+            assert_eq!(part, map.partition(&graph, k));
+        }
+    }
 }

@@ -14,11 +14,12 @@ use std::sync::Arc;
 use wodex::explore::facets::value_key;
 use wodex::explore::search::tokenize;
 use wodex::explore::{ExplorationSession, ExploreIndex, Operation};
-use wodex::rdf::vocab::{rdf, rdfs, xsd};
+use wodex::rdf::vocab::{geo, rdf, rdfs, xsd};
 use wodex::rdf::{Graph, Iri, Literal, Term, Triple, Value};
 use wodex::synth::cube::{self, CubeConfig};
 use wodex::synth::dbpedia::{self, DbpediaConfig};
 use wodex::synth::rng::{Rng, StdRng};
+use wodex::viz::recommend::VisKind;
 
 /// The raw triple list, in graph order.
 struct Model(Vec<Triple>);
@@ -402,47 +403,114 @@ fn a_thousand_sessions_share_one_index_and_add_nothing_to_it() {
     assert_eq!(Arc::strong_count(&index), 1);
 }
 
-/// Lazy ≡ eager: an explorer that decodes its term-level graph from the
-/// store on first use answers every graph-shaped facility exactly as one
-/// that was handed the graph — SVG bytes included.
-fn lazy_explorer_equals_eager(graph: Graph, endpoints: &[(Term, Term)]) {
+/// The same triples under three stores — encoded in graph order, encoded
+/// in a shuffled order, and bulk-loaded into segments (other term ids,
+/// other POS order, block-paged reads) — make three explorers that answer
+/// every facility alike, SVG bytes included. Returns the chart kinds seen.
+fn every_store_shape_answers_alike(graph: Graph, endpoints: &[(Term, Term)]) -> BTreeSet<VisKind> {
     use wodex::core::Explorer;
+    use wodex::store::TripleStore;
     let predicates: BTreeSet<String> = graph.iter().map(|t| predicate_of(t).to_string()).collect();
-    let lazy = Explorer::from_store(wodex::store::TripleStore::from_graph(&graph));
-    let eager = Explorer::from_graph(graph);
-    assert!(lazy.graph_build_time().is_none(), "nothing decoded yet");
-    assert_eq!(eager.graph_build_time(), Some(std::time::Duration::ZERO));
-    for p in &predicates {
-        let (l, e) = (lazy.visualize(p), eager.visualize(p));
-        assert_eq!(l.kind, e.kind, "{p}");
-        assert_eq!(l.svg, e.svg, "{p}");
-        assert_eq!(l.scene, e.scene, "{p}");
-        assert_eq!(l.recommendations, e.recommendations, "{p}");
-        assert_eq!(lazy.recommend(p), eager.recommend(p), "{p}");
+    let dir = std::env::temp_dir().join(format!(
+        "wodex_explore_index_{}_{}",
+        std::process::id(),
+        graph.len()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let nt = wodex::rdf::ntriples::serialize(&graph);
+    wodex::seg::load_ntriples(nt.as_bytes(), &dir, &Default::default()).expect("bulk load");
+    let (dict, segments) = wodex::seg::SegmentStore::open(&dir).expect("open segments");
+    let mut shuffled = TripleStore::new();
+    let mut triples: Vec<&Triple> = graph.iter().collect();
+    let mut rng = wodex::synth::rng(7);
+    while !triples.is_empty() {
+        let i = rng.random_range(0..triples.len());
+        shuffled.insert(triples.swap_remove(i));
     }
-    assert!(lazy.graph_build_time().is_some());
-    assert_eq!(lazy.graph(), eager.graph());
-    // Through `Debug`: the corpus has a NaN measure, and NaN != NaN.
-    assert_eq!(
-        format!("{:?}", lazy.profiles()),
-        format!("{:?}", eager.profiles())
-    );
-    assert_eq!(
-        format!("{:?}", lazy.stats()),
-        format!("{:?}", eager.stats())
-    );
-    assert_eq!(lazy.class_hierarchy(), eager.class_hierarchy());
-    for (a, b) in endpoints {
-        let paths = eager.find_paths(a, b, 4, 5);
-        assert!(!paths.is_empty(), "{a} and {b} are connected");
-        assert_eq!(lazy.find_paths(a, b, 4, 5), paths);
+    shuffled.merge_tail();
+    let others = [
+        ("shuffled", Explorer::from_store(shuffled)),
+        (
+            "segments",
+            Explorer::from_store(TripleStore::with_base(dict, Arc::new(segments))),
+        ),
+    ];
+    let reference = Explorer::from_graph(graph.clone());
+    assert_eq!(reference.graph(), graph);
+    // Through `Debug` where a float may be NaN: the corpus has a NaN
+    // measure, and NaN != NaN.
+    let hetree = |ex: &Explorer, p: &str| {
+        let mut tree = ex.hetree(p, wodex::hetree::Variant::ContentBased);
+        let root = tree.root();
+        let children = tree.expand(root).to_vec();
+        let nodes = std::iter::once(root).chain(children);
+        format!(
+            "{:?}",
+            nodes
+                .map(|n| (*tree.stats(n), tree.range(n)))
+                .collect::<Vec<_>>()
+        )
+    };
+    let mut kinds = BTreeSet::new();
+    for (name, other) in &others {
+        assert_eq!(other.graph(), graph, "{name}");
+        for p in &predicates {
+            let (o, r) = (other.visualize(p), reference.visualize(p));
+            assert_eq!(o.kind, r.kind, "{name} {p}");
+            assert_eq!(o.svg, r.svg, "{name} {p}");
+            assert_eq!(o.scene, r.scene, "{name} {p}");
+            assert_eq!(o.recommendations, r.recommendations, "{name} {p}");
+            assert_eq!(other.recommend(p), reference.recommend(p), "{name} {p}");
+            assert_eq!(hetree(other, p), hetree(&reference, p), "{name} {p}");
+            kinds.insert(r.kind);
+        }
+        let unknown = "http://nowhere.example.org/no-such-property";
+        assert_eq!(
+            other.visualize(unknown).svg,
+            reference.visualize(unknown).svg
+        );
+        assert_eq!(
+            format!("{:?}", other.profiles()),
+            format!("{:?}", reference.profiles())
+        );
+        assert_eq!(
+            format!("{:?}", other.stats()),
+            format!("{:?}", reference.stats())
+        );
+        assert_eq!(other.class_hierarchy(), reference.class_hierarchy());
+        for (a, b) in endpoints {
+            let paths = reference.find_paths(a, b, 4, 5);
+            assert!(!paths.is_empty(), "{a} and {b} are connected");
+            assert_eq!(other.find_paths(a, b, 4, 5), paths, "{name}");
+        }
     }
+    // The coordinates as a dot map, then — with a point budget below
+    // their number — as a density heatmap.
+    let cities = reference.property_triples(geo::LAT);
+    let tight = wodex::viz::UserPreferences {
+        max_points: cities / 2,
+        ..Default::default()
+    };
+    let reference = reference.with_prefs(tight.clone());
+    let heatmap = reference.visualize(geo::LAT);
+    for (name, other) in others {
+        let dots = other.visualize(geo::LAT);
+        let other = other.with_prefs(tight.clone());
+        assert_eq!(other.visualize(geo::LAT).svg, heatmap.svg, "{name}");
+        if cities > 0 {
+            assert_eq!(dots.scene.mark_breakdown().1, cities, "{name}: a dot each");
+            assert_ne!(dots.svg, heatmap.svg, "{name}");
+            assert_eq!(heatmap.scene.mark_breakdown().1, 0, "no dot over budget");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    kinds
 }
 
 #[test]
-fn a_lazily_decoded_graph_answers_like_the_original_on_both_fixtures() {
+fn explorers_over_every_store_shape_answer_alike_on_both_fixtures() {
     let ns = "http://stats.example.org/observation/";
-    lazy_explorer_equals_eager(
+    let mut kinds = every_store_shape_answers_alike(
         synth_corpus(),
         &[
             (Term::iri(format!("{ns}O2")), Term::iri(format!("{ns}O1"))),
@@ -459,5 +527,15 @@ fn a_lazily_decoded_graph_answers_like_the_original_on_both_fixtures() {
         .find(|t| predicate_of(t).ends_with("/linksTo"))
         .expect("the fixture links resources");
     let endpoints = [(link.subject.clone(), link.object.clone())];
-    lazy_explorer_equals_eager(dbp, &endpoints);
+    kinds.extend(every_store_shape_answers_alike(dbp, &endpoints));
+    // Every arm of stage 2 was drawn: a distribution, categories, geo
+    // points and a network.
+    for kind in [
+        VisKind::HistogramChart,
+        VisKind::Bar,
+        VisKind::Map,
+        VisKind::NodeLink,
+    ] {
+        assert!(kinds.contains(&kind), "{kind:?} in {kinds:?}");
+    }
 }

@@ -232,81 +232,6 @@ fn viewcache_lookups_conserve_under_concurrent_chart_requests() {
     }
 }
 
-/// The term-level graph is decoded by the first rendered chart and by
-/// nothing else: both gauges read 0 on a booted server that has answered
-/// a query, flip with the first chart, and eight threads of further
-/// charts leave the recorded build time where the one decode put it.
-#[test]
-fn graph_gauges_flip_once_on_the_first_chart() {
-    let _guard = lock();
-    // The shape `wodex serve` boots: a store, no graph.
-    let store = wodex::store::TripleStore::from_graph(explorer(150).graph());
-    let server = Server::bind(Explorer::from_store(store), ServeConfig::default())
-        .expect("bind")
-        .spawn();
-    let addr = server.addr();
-    let gauges = || -> (String, String) {
-        let metrics = http_get(addr, "/metrics");
-        let line = |name: &str| {
-            let at = metrics
-                .find(&format!("\n{name} "))
-                .unwrap_or_else(|| panic!("{name} missing from /metrics"));
-            metrics[at + 1..].lines().next().unwrap().to_string()
-        };
-        (
-            line("wodex_explorer_graph_materialized"),
-            line("wodex_explorer_graph_build_seconds"),
-        )
-    };
-    let mut s = TcpStream::connect(addr).expect("connect");
-    let query = "ASK { ?s ?p ?o }";
-    write!(
-        s,
-        "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{query}",
-        query.len()
-    )
-    .expect("send");
-    let mut answer = String::new();
-    s.read_to_string(&mut answer).expect("read");
-    assert!(answer.contains("\"boolean\":true"));
-    assert_eq!(
-        gauges(),
-        (
-            "wodex_explorer_graph_materialized 0".to_string(),
-            "wodex_explorer_graph_build_seconds 0".to_string()
-        )
-    );
-    assert!(http_get(addr, "/stats").contains("\"graph_materialized\":false"));
-
-    let chart = |p: &str| {
-        http_get(
-            addr,
-            &format!("/viz/chart?predicate=http://dbp.example.org/ontology/{p}"),
-        )
-    };
-    assert!(chart("population").contains("<svg"));
-    let first = gauges();
-    assert_eq!(first.0, "wodex_explorer_graph_materialized 1");
-    assert_ne!(first.1, "wodex_explorer_graph_build_seconds 0");
-    assert!(http_get(addr, "/stats").contains("\"graph_materialized\":true"));
-
-    let barrier = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let (barrier, chart) = (&barrier, &chart);
-            scope.spawn(move || {
-                barrier.wait();
-                for round in 0..3 {
-                    let p = ["area", "foundingDate", "population"][(t + round) % 3];
-                    assert!(chart(p).contains("<svg"));
-                }
-            });
-        }
-    });
-    assert_eq!(gauges(), first, "decoded once");
-    server.shutdown().expect("clean shutdown");
-}
-
 #[test]
 fn accepted_connections_are_served_or_shed() {
     let _guard = lock();

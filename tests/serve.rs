@@ -291,7 +291,6 @@ fn concurrent_first_chart_requests_share_one_render() {
     });
     let addr = rs.addr();
     let state = rs.state();
-    assert_eq!(state.explorer.graph_build_time(), None);
     let barrier = std::sync::Barrier::new(CLIENTS);
     let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CLIENTS)
@@ -318,69 +317,18 @@ fn concurrent_first_chart_requests_share_one_render() {
     assert_eq!(capped.header("X-Wodex-Degraded"), Some("none"));
     assert_eq!(capped.body, bodies[0]);
     assert_eq!(state.explorer.view_cache().renders(), 1);
-    // The one render decoded the term-level graph, once: the chart is the
-    // one an explorer holding the parsed graph draws, and a chart of
-    // another property finds the same graph in place.
-    let eager = Explorer::from_graph(dataset());
-    assert_eq!(bodies[0], eager.visualize(POP).svg.as_bytes());
-    let built = state.explorer.graph_build_time().expect("decoded");
-    let graph = state.explorer.shared_graph();
+    // Every client was handed the one cached view, and it is the chart a
+    // second explorer over the same data draws.
+    assert!(std::sync::Arc::ptr_eq(
+        &state.explorer.cached_view(POP),
+        &state.explorer.cached_view(POP)
+    ));
+    assert_eq!(state.explorer.view_cache().renders(), 1);
+    let fresh = Explorer::from_graph(dataset());
+    assert_eq!(bodies[0], fresh.visualize(POP).svg.as_bytes());
     let area = "http://dbp.example.org/ontology/area";
     let other = get(addr, &format!("/viz/chart?predicate={area}"));
-    assert_eq!(other.body, eager.visualize(area).svg.as_bytes());
-    assert_eq!(state.explorer.graph_build_time(), Some(built));
-    assert!(std::sync::Arc::ptr_eq(
-        &graph,
-        &state.explorer.shared_graph()
-    ));
-    rs.shutdown().expect("clean shutdown");
-}
-
-/// Only a rendered chart needs the term-level graph: queries, writes, a
-/// whole exploration click cycle, histograms and a chart the budget
-/// degrades to a sample all leave it undecoded.
-#[test]
-fn nothing_but_a_rendered_chart_decodes_the_graph() {
-    let rs = boot(ServeConfig::default());
-    let addr = rs.addr();
-    let state = rs.state();
-    assert_eq!(post(addr, "/sparql", "ASK { ?s ?p ?o }").status, 200);
-    let nt = "<http://ex.org/live/s1> <http://ex.org/live/p> \"v1\" .\n";
-    assert_eq!(post(addr, "/data", nt).status, 200);
-    let token = json_str(&post(addr, "/explore/open", "").text(), "session").expect("token");
-    let session = format!("session={token}");
-    for target in [
-        format!("/explore/overview?{session}"),
-        format!("/explore/facets?{session}"),
-        format!("/explore/filter?{session}&predicate=http%3A%2F%2Fwww.w3.org%2F1999%2F02%2F22-rdf-syntax-ns%23type&value=http%3A%2F%2Fdbp.example.org%2Fontology%2FCity"),
-        format!("/explore/zoom?{session}&predicate={POP}&lo=0&hi=1e12"),
-        format!("/explore/search?{session}&q=city"),
-        format!("/explore/hits?{session}&q=city&limit=5"),
-        format!("/explore/details?{session}&iri=http%3A%2F%2Fdbp.example.org%2Fresource%2FE0"),
-        format!("/explore/undo?{session}"),
-        format!("/viz/hist?predicate={POP}&bins=8"),
-        "/shard/scan?row_cap=5".to_string(),
-        "/stats".to_string(),
-    ] {
-        assert_eq!(get(addr, &target).status, 200, "{target}");
-    }
-    // The charge precedes the render: a cold chart that cannot afford its
-    // rows degrades to the sampled histogram without decoding anything.
-    let capped = get(addr, &format!("/viz/chart?predicate={POP}&row_cap=1"));
-    assert_eq!(capped.status, 200);
-    assert!(capped.text().contains("<svg"));
-    assert_ne!(capped.header("X-Wodex-Degraded"), Some("none"));
-    assert_eq!(state.explorer.graph_build_time(), None);
-    assert!(get(addr, "/stats")
-        .text()
-        .contains("\"explorer\":{\"graph_materialized\":false,\"graph_build_seconds\":0}"));
-
-    let rec = get(addr, &format!("/viz/recommend?predicate={POP}"));
-    assert!(rec.text().contains("\"recommendations\":[{"));
-    assert!(state.explorer.graph_build_time().is_some());
-    assert!(get(addr, "/stats")
-        .text()
-        .contains("\"explorer\":{\"graph_materialized\":true,\"graph_build_seconds\":"));
+    assert_eq!(other.body, fresh.visualize(area).svg.as_bytes());
     rs.shutdown().expect("clean shutdown");
 }
 
@@ -657,6 +605,17 @@ fn budget_tripped_queries_degrade_in_trailers_not_errors() {
     let hist = get(addr, &format!("/viz/hist?predicate={POP}&row_cap=10"));
     let verdict = hist.header("X-Wodex-Degraded").expect("trailer");
     assert!(verdict.contains("coverage="), "got {verdict:?}");
+
+    // A property with no values has nothing to cover: 0, not 0/0.
+    let none = get(
+        addr,
+        "/viz/hist?predicate=http://nowhere.example.org/p&deadline_ms=0",
+    );
+    assert_eq!(
+        none.header("X-Wodex-Degraded"),
+        Some("deadline exceeded;coverage=0.000")
+    );
+    assert!(none.text().ends_with("\"values\":0}"), "{}", none.text());
 
     rs.shutdown().expect("clean shutdown");
 }
