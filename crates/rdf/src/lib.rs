@@ -17,7 +17,12 @@
 //!   by the store and every downstream index ([`dictionary`]).
 //! * **Triples** and in-memory **graphs** ([`triple`], [`graph`]).
 //! * **N-Triples** and **Turtle** parsing and serialization ([`ntriples`],
-//!   [`turtle`]).
+//!   [`turtle`]) over **one term lexer** ([`lex`]): a cursor over `&str`
+//!   whose productions — IRI reference, blank-node label, quoted string,
+//!   language tag, number, prefixed name — return slices of the input and
+//!   a typed error with a byte offset. `wodex-sparql` tokenizes with the
+//!   same cursor, so a term is spelled, escaped and decoded (UTF-8, never
+//!   byte by byte) the same way in a dump, a `POST /data` body and a query.
 //! * Well-known **vocabularies** (rdf, rdfs, xsd, owl, foaf, qb, geo,
 //!   dcterms) ([`vocab`]).
 //! * Dataset **statistics** — the "Statistics" feature column of Table 1
@@ -29,6 +34,7 @@
 pub mod dictionary;
 pub mod error;
 pub mod graph;
+pub mod lex;
 pub mod ntriples;
 pub mod schema;
 pub mod stats;

@@ -9,7 +9,8 @@
 
 use crate::error::RdfError;
 use crate::graph::Graph;
-use crate::term::{unescape_literal, BlankNode, Iri, Literal, Term};
+use crate::lex::Cursor;
+use crate::term::{Iri, Literal, Term};
 use crate::triple::Triple;
 
 /// Parses a complete N-Triples document into a [`Graph`].
@@ -26,32 +27,10 @@ pub fn parse(input: &str) -> Result<Graph, RdfError> {
 /// Parses a single N-Triples line. Returns `Ok(None)` for blank lines and
 /// comments; errors carry the supplied 1-based `line_no`.
 pub fn parse_line(line: &str, line_no: usize) -> Result<Option<Triple>, RdfError> {
-    let mut s = Scanner::new(line, line_no);
-    s.skip_ws();
-    if s.eof() || s.peek() == Some('#') {
-        return Ok(None);
-    }
-    let subject = s.term()?;
-    if !subject.is_resource() {
-        return Err(RdfError::syntax(line_no, "literal in subject position"));
-    }
-    s.skip_ws();
-    let predicate = s.term()?;
-    if !predicate.is_iri() {
-        return Err(RdfError::syntax(line_no, "predicate must be an IRI"));
-    }
-    s.skip_ws();
-    let object = s.term()?;
-    s.skip_ws();
-    if s.peek() != Some('.') {
-        return Err(RdfError::syntax(line_no, "expected '.' at end of triple"));
-    }
-    s.advance();
-    s.skip_ws();
-    if !s.eof() && s.peek() != Some('#') {
-        return Err(RdfError::syntax(line_no, "trailing content after '.'"));
-    }
-    Ok(Some(Triple::new(subject, predicate, object)))
+    triple(&mut Cursor::new(line)).map_err(|e| match e {
+        RdfError::Syntax { message, .. } => RdfError::syntax(line_no, message),
+        other => other,
+    })
 }
 
 /// Parses a single standalone term in N-Triples syntax (`<iri>`,
@@ -62,12 +41,12 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<Option<Triple>, RdfError
 /// [`Term`]'s `Display` form, so `parse_term(t.to_string()) == t` for
 /// every term the workspace produces.
 pub fn parse_term(input: &str) -> Result<Term, RdfError> {
-    let mut s = Scanner::new(input, 1);
-    s.skip_ws();
-    let term = s.term()?;
-    s.skip_ws();
-    if !s.eof() {
-        return Err(RdfError::syntax(1, "trailing content after term"));
+    let mut cur = Cursor::new(input);
+    skip_blanks(&mut cur);
+    let term = term(&mut cur)?;
+    skip_blanks(&mut cur);
+    if !cur.eof() {
+        return Err(cur.error("trailing content after term").into());
     }
     Ok(term)
 }
@@ -88,132 +67,62 @@ pub fn serialize_triple(t: &Triple, out: &mut String) {
     let _ = writeln!(out, "{} {} {} .", t.subject, t.predicate, t.object);
 }
 
-/// A minimal single-line scanner for N-Triples terms. Also reused by tests.
-struct Scanner<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
+/// Within a line only spaces and tabs separate terms.
+fn skip_blanks(cur: &mut Cursor) {
+    cur.take_while(|c| c == ' ' || c == '\t');
 }
 
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str, line: usize) -> Self {
-        Scanner {
-            chars: s.chars().peekable(),
-            line,
-        }
+fn triple(cur: &mut Cursor) -> Result<Option<Triple>, RdfError> {
+    skip_blanks(cur);
+    if cur.eof() || cur.peek() == Some(b'#') {
+        return Ok(None);
     }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    let subject = term(cur)?;
+    if !subject.is_resource() {
+        return Err(cur.error("literal in subject position").into());
     }
-
-    fn advance(&mut self) -> Option<char> {
-        self.chars.next()
+    skip_blanks(cur);
+    let predicate = term(cur)?;
+    if !predicate.is_iri() {
+        return Err(cur.error("predicate must be an IRI").into());
     }
-
-    fn eof(&mut self) -> bool {
-        self.peek().is_none()
+    skip_blanks(cur);
+    let object = term(cur)?;
+    skip_blanks(cur);
+    cur.expect(".")?;
+    skip_blanks(cur);
+    if !cur.eof() && cur.peek() != Some(b'#') {
+        return Err(cur.error("trailing content after '.'").into());
     }
+    Ok(Some(Triple::new(subject, predicate, object)))
+}
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c == ' ' || c == '\t') {
-            self.advance();
-        }
-    }
-
-    fn err(&self, msg: &str) -> RdfError {
-        RdfError::syntax(self.line, msg)
-    }
-
-    fn term(&mut self) -> Result<Term, RdfError> {
-        match self.peek() {
-            Some('<') => self.iri_ref().map(Term::Iri),
-            Some('_') => self.blank_node().map(Term::Blank),
-            Some('"') => self.literal().map(Term::Literal),
-            Some(c) => Err(self.err(&format!("unexpected character {c:?}"))),
-            None => Err(self.err("unexpected end of line")),
-        }
-    }
-
-    fn iri_ref(&mut self) -> Result<Iri, RdfError> {
-        self.advance(); // '<'
-        let mut s = String::new();
-        loop {
-            match self.advance() {
-                Some('>') => break,
-                Some(c) if c.is_whitespace() => return Err(self.err("whitespace inside IRI")),
-                Some(c) => s.push(c),
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
-        Iri::parse(s)
-    }
-
-    fn blank_node(&mut self) -> Result<BlankNode, RdfError> {
-        self.advance(); // '_'
-        if self.advance() != Some(':') {
-            return Err(self.err("expected ':' after '_' in blank node"));
-        }
-        // Labels are restricted to [A-Za-z0-9_-]: this keeps '.' free to act
-        // as the statement terminator without lookahead. (Full N-Triples
-        // also allows medial dots; every serializer in this workspace stays
-        // within the restricted alphabet.)
-        let mut label = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-') {
-            label.push(self.advance().unwrap());
-        }
-        if label.is_empty() {
-            return Err(self.err("empty blank node label"));
-        }
-        Ok(BlankNode::new(label))
-    }
-
-    fn literal(&mut self) -> Result<Literal, RdfError> {
-        self.advance(); // '"'
-        let mut raw = String::new();
-        loop {
-            match self.advance() {
-                Some('\\') => {
-                    raw.push('\\');
-                    match self.advance() {
-                        Some(c) => raw.push(c),
-                        None => return Err(self.err("unterminated escape")),
-                    }
+/// One term: the productions N-Triples has, and no others — no prefixed
+/// name, no number or boolean abbreviation, no `'…'` or long string.
+fn term(cur: &mut Cursor) -> Result<Term, RdfError> {
+    match cur.peek() {
+        Some(b'<') => Ok(Term::Iri(Iri::parse(cur.iri_ref()?)?)),
+        Some(b'_') => Ok(Term::blank(cur.blank_node_label()?)),
+        Some(b'"') => {
+            let lexical = cur.short_string()?;
+            Ok(Term::Literal(match cur.peek() {
+                Some(b'@') => Literal::lang_string(lexical, cur.lang_tag()?),
+                Some(b'^') => {
+                    cur.expect("^^")?;
+                    Literal::typed(lexical, Iri::parse(cur.iri_ref()?)?)
                 }
-                Some('"') => break,
-                Some(c) => raw.push(c),
-                None => return Err(self.err("unterminated literal")),
-            }
+                _ => Literal::string(lexical),
+            }))
         }
-        let lexical =
-            unescape_literal(&raw).ok_or_else(|| self.err("malformed escape in literal"))?;
-        match self.peek() {
-            Some('@') => {
-                self.advance();
-                let mut lang = String::new();
-                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '-') {
-                    lang.push(self.advance().unwrap());
-                }
-                if lang.is_empty() {
-                    return Err(self.err("empty language tag"));
-                }
-                Ok(Literal::lang_string(lexical, lang))
-            }
-            Some('^') => {
-                self.advance();
-                if self.advance() != Some('^') {
-                    return Err(self.err("expected '^^' before datatype"));
-                }
-                let dt = self.iri_ref()?;
-                Ok(Literal::typed(lexical, dt))
-            }
-            _ => Ok(Literal::string(lexical)),
-        }
+        Some(_) => Err(cur.error("unexpected character starting a term").into()),
+        None => Err(cur.error("unexpected end of line").into()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::BlankNode;
     use crate::vocab::xsd;
 
     #[test]

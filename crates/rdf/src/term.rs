@@ -223,7 +223,9 @@ pub fn escape_literal(s: &str) -> String {
     out
 }
 
-/// Reverses [`escape_literal`]. Returns `None` on a malformed escape.
+/// Reverses [`escape_literal`] — and reads the `\'`, `\uXXXX` and
+/// `\UXXXXXXXX` escapes it never writes. Returns `None` on a malformed
+/// escape. Every parser's strings come through here ([`crate::lex`]).
 pub fn unescape_literal(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -235,6 +237,7 @@ pub fn unescape_literal(s: &str) -> Option<String> {
         match chars.next()? {
             '\\' => out.push('\\'),
             '"' => out.push('"'),
+            '\'' => out.push('\''),
             'n' => out.push('\n'),
             'r' => out.push('\r'),
             't' => out.push('\t'),

@@ -17,7 +17,8 @@
 
 use crate::error::RdfError;
 use crate::graph::Graph;
-use crate::term::{unescape_literal, BlankNode, Iri, Literal, Term};
+use crate::lex::Cursor;
+use crate::term::{BlankNode, Iri, Literal, Term};
 use crate::triple::Triple;
 use crate::vocab::{rdf, xsd};
 use std::collections::HashMap;
@@ -28,10 +29,8 @@ pub fn parse(input: &str) -> Result<Graph, RdfError> {
 }
 
 struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-    prefixes: HashMap<String, String>,
+    cur: Cursor<'a>,
+    prefixes: HashMap<&'a str, String>,
     base: String,
     graph: Graph,
     bnode_counter: usize,
@@ -40,9 +39,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Parser {
-            src: input.as_bytes(),
-            pos: 0,
-            line: 1,
+            cur: Cursor::new(input),
             prefixes: HashMap::new(),
             base: String::new(),
             graph: Graph::new(),
@@ -51,220 +48,132 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, msg: impl Into<String>) -> RdfError {
-        RdfError::syntax(self.line, msg.into())
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, off: usize) -> Option<u8> {
-        self.src.get(self.pos + off).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if (c as char).is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some(b'#') => {
-                    while let Some(c) = self.bump() {
-                        if c == b'\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), RdfError> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected {:?}, found {:?}",
-                c as char,
-                self.peek().map(|b| b as char)
-            )))
-        }
-    }
-
-    fn starts_with_keyword(&self, kw: &str) -> bool {
-        let bytes = kw.as_bytes();
-        if self.src.len() < self.pos + bytes.len() {
-            return false;
-        }
-        self.src[self.pos..self.pos + bytes.len()]
-            .iter()
-            .zip(bytes)
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        self.cur.error(msg).into()
     }
 
     fn parse_document(mut self) -> Result<Graph, RdfError> {
         loop {
-            self.skip_ws();
-            if self.peek().is_none() {
+            self.cur.skip_ws();
+            if self.cur.eof() {
                 return Ok(self.graph);
             }
-            if self.eat(b'@') {
-                if self.starts_with_keyword("prefix") {
-                    self.pos += 6;
-                    self.directive_prefix()?;
-                    self.skip_ws();
-                    self.expect(b'.')?;
-                } else if self.starts_with_keyword("base") {
-                    self.pos += 4;
-                    self.directive_base()?;
-                    self.skip_ws();
-                    self.expect(b'.')?;
-                } else {
-                    return Err(self.err("unknown directive"));
+            // `@prefix`/`@base` end with a '.', SPARQL-style `PREFIX`/`BASE`
+            // do not; anything else unmarked is a statement.
+            let marked = self.cur.eat(b'@');
+            let statement_start = self.cur;
+            match self.cur.pname() {
+                (word, None) if word.eq_ignore_ascii_case("prefix") => self.directive_prefix()?,
+                (word, None) if word.eq_ignore_ascii_case("base") => {
+                    self.cur.skip_ws();
+                    self.base = self.iri()?.as_str().to_string();
                 }
-                continue;
+                _ if marked => return Err(self.err("unknown directive")),
+                _ => {
+                    self.cur = statement_start;
+                    self.statement()?;
+                    continue;
+                }
             }
-            if self.starts_with_keyword("prefix ") || self.starts_with_keyword("prefix\t") {
-                self.pos += 6;
-                self.directive_prefix()?;
-                continue;
+            if marked {
+                self.cur.skip_ws();
+                self.cur.expect(".")?;
             }
-            if self.starts_with_keyword("base ") || self.starts_with_keyword("base\t") {
-                self.pos += 4;
-                self.directive_base()?;
-                continue;
-            }
-            self.statement()?;
         }
     }
 
     fn directive_prefix(&mut self) -> Result<(), RdfError> {
-        self.skip_ws();
-        let mut name = String::new();
-        while matches!(self.peek(), Some(c) if c != b':' && !(c as char).is_ascii_whitespace()) {
-            name.push(self.bump().unwrap() as char);
-        }
-        self.expect(b':')?;
-        self.skip_ws();
-        let iri = self.iri_ref()?;
-        self.prefixes.insert(name, iri.as_str().to_string());
-        Ok(())
-    }
-
-    fn directive_base(&mut self) -> Result<(), RdfError> {
-        self.skip_ws();
-        let iri = self.iri_ref()?;
-        self.base = iri.as_str().to_string();
+        self.cur.skip_ws();
+        let (name, Some("")) = self.cur.pname() else {
+            return Err(self.err("expected 'name:' in prefix directive"));
+        };
+        self.cur.skip_ws();
+        let ns = self.iri()?;
+        self.prefixes.insert(name, ns.as_str().to_string());
         Ok(())
     }
 
     fn statement(&mut self) -> Result<(), RdfError> {
         let subject = self.subject()?;
-        self.skip_ws();
         self.predicate_object_list(&subject)?;
-        self.skip_ws();
-        self.expect(b'.')?;
-        Ok(())
+        self.cur.skip_ws();
+        Ok(self.cur.expect(".")?)
     }
 
     fn predicate_object_list(&mut self, subject: &Term) -> Result<(), RdfError> {
         loop {
-            self.skip_ws();
             let predicate = self.predicate()?;
             loop {
-                self.skip_ws();
                 let object = self.object()?;
                 self.graph
                     .insert(Triple::new(subject.clone(), predicate.clone(), object));
-                self.skip_ws();
-                if !self.eat(b',') {
+                self.cur.skip_ws();
+                if !self.cur.eat(b',') {
                     break;
                 }
             }
-            self.skip_ws();
-            if !self.eat(b';') {
+            if !self.cur.eat(b';') {
                 return Ok(());
             }
-            self.skip_ws();
+            self.cur.skip_ws();
             // Allow a dangling ';' before '.' or ']'.
-            if matches!(self.peek(), Some(b'.') | Some(b']')) || self.peek().is_none() {
+            if matches!(self.cur.peek(), Some(b'.') | Some(b']') | None) {
                 return Ok(());
             }
         }
     }
 
     fn subject(&mut self) -> Result<Term, RdfError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'<') => Ok(Term::Iri(self.iri_ref()?)),
-            Some(b'_') => Ok(Term::Blank(self.blank_node_label()?)),
+        self.cur.skip_ws();
+        match self.cur.peek() {
+            Some(b'<') => Ok(Term::Iri(self.iri()?)),
+            Some(b'_') => Ok(Term::blank(self.cur.blank_node_label()?)),
             Some(b'[') => self.anon_bnode(),
             Some(b'(') => self.collection(),
-            Some(_) => Ok(Term::Iri(self.prefixed_name()?)),
-            None => Err(self.err("unexpected end of input in subject")),
+            _ => {
+                let name = self.cur.pname();
+                Ok(Term::Iri(self.resolve(name)?))
+            }
         }
     }
 
     fn predicate(&mut self) -> Result<Term, RdfError> {
-        self.skip_ws();
-        // The `a` keyword.
-        if self.peek() == Some(b'a') {
-            let next = self.peek_at(1);
-            if next.is_none() || next.is_some_and(|c| (c as char).is_ascii_whitespace()) {
-                self.bump();
-                return Ok(Term::iri(rdf::TYPE));
-            }
+        self.cur.skip_ws();
+        if self.cur.peek() == Some(b'<') {
+            return Ok(Term::Iri(self.iri()?));
         }
-        match self.peek() {
-            Some(b'<') => Ok(Term::Iri(self.iri_ref()?)),
-            Some(_) => Ok(Term::Iri(self.prefixed_name()?)),
-            None => Err(self.err("unexpected end of input in predicate")),
+        match self.cur.pname() {
+            ("a", None) => Ok(Term::iri(rdf::TYPE)),
+            name => Ok(Term::Iri(self.resolve(name)?)),
         }
     }
 
     fn object(&mut self) -> Result<Term, RdfError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'<') => Ok(Term::Iri(self.iri_ref()?)),
-            Some(b'_') => Ok(Term::Blank(self.blank_node_label()?)),
+        self.cur.skip_ws();
+        match self.cur.peek() {
+            Some(b'<') => Ok(Term::Iri(self.iri()?)),
+            Some(b'_') => Ok(Term::blank(self.cur.blank_node_label()?)),
             Some(b'[') => self.anon_bnode(),
             Some(b'(') => self.collection(),
-            Some(b'"') | Some(b'\'') => Ok(Term::Literal(self.quoted_literal()?)),
-            Some(c) if c == b'+' || c == b'-' || (c as char).is_ascii_digit() => {
-                Ok(Term::Literal(self.numeric_literal()?))
-            }
-            Some(b't') | Some(b'f')
-                if self.starts_with_keyword("true") || self.starts_with_keyword("false") =>
-            {
-                let v = self.peek() == Some(b't');
-                self.pos += if v { 4 } else { 5 };
-                // Guard against prefixed names like false:x.
-                if matches!(self.peek(), Some(c) if c == b':' || (c as char).is_alphanumeric()) {
-                    return Err(self.err("bad boolean literal"));
+            Some(b'"' | b'\'') => Ok(Term::Literal(self.literal()?)),
+            Some(b'+' | b'-' | b'0'..=b'9') => {
+                let (lexical, datatype) = self.cur.numeric_literal()?;
+                if datatype != xsd::INTEGER {
+                    return Ok(Term::Literal(Literal::typed(lexical, Iri::new(datatype))));
                 }
-                Ok(Term::Literal(Literal::boolean(v)))
+                let v = lexical
+                    .parse()
+                    .map_err(|_| self.err("bad integer literal"))?;
+                Ok(Term::integer(v))
             }
-            Some(_) => Ok(Term::Iri(self.prefixed_name()?)),
-            None => Err(self.err("unexpected end of input in object")),
+            _ => match self.cur.pname() {
+                (word, None) if word.eq_ignore_ascii_case("true") => {
+                    Ok(Term::Literal(Literal::boolean(true)))
+                }
+                (word, None) if word.eq_ignore_ascii_case("false") => {
+                    Ok(Term::Literal(Literal::boolean(false)))
+                }
+                name => Ok(Term::Iri(self.resolve(name)?)),
+            },
         }
     }
 
@@ -274,24 +183,24 @@ impl<'a> Parser<'a> {
     }
 
     fn anon_bnode(&mut self) -> Result<Term, RdfError> {
-        self.expect(b'[')?;
+        self.cur.expect("[")?;
         let node = Term::Blank(self.fresh_bnode());
-        self.skip_ws();
-        if self.eat(b']') {
+        self.cur.skip_ws();
+        if self.cur.eat(b']') {
             return Ok(node);
         }
         self.predicate_object_list(&node)?;
-        self.skip_ws();
-        self.expect(b']')?;
+        self.cur.skip_ws();
+        self.cur.expect("]")?;
         Ok(node)
     }
 
     fn collection(&mut self) -> Result<Term, RdfError> {
-        self.expect(b'(')?;
+        self.cur.expect("(")?;
         let mut items = Vec::new();
         loop {
-            self.skip_ws();
-            if self.eat(b')') {
+            self.cur.skip_ws();
+            if self.cur.eat(b')') {
                 break;
             }
             items.push(self.object()?);
@@ -311,187 +220,42 @@ impl<'a> Parser<'a> {
         Ok(head)
     }
 
-    fn iri_ref(&mut self) -> Result<Iri, RdfError> {
-        self.expect(b'<')?;
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                Some(b'>') => break,
-                Some(c) if (c as char).is_ascii_whitespace() => {
-                    return Err(self.err("whitespace inside IRI"))
-                }
-                Some(c) => s.push(c as char),
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
-        // Resolve against @base for relative IRIs (no scheme).
+    /// An IRI reference, resolved against `@base` when relative (no scheme).
+    fn iri(&mut self) -> Result<Iri, RdfError> {
+        let s = self.cur.iri_ref()?;
         if !self.base.is_empty() && !s.contains("://") && !s.starts_with("urn:") {
-            s = format!("{}{}", self.base, s);
+            return Iri::parse(format!("{}{s}", self.base));
         }
         Iri::parse(s)
     }
 
-    fn blank_node_label(&mut self) -> Result<BlankNode, RdfError> {
-        self.expect(b'_')?;
-        self.expect(b':')?;
-        let mut label = String::new();
-        while matches!(self.peek(), Some(c) if (c as char).is_alphanumeric() || c == b'_' || c == b'-')
-        {
-            label.push(self.bump().unwrap() as char);
-        }
-        if label.is_empty() {
-            return Err(self.err("empty blank node label"));
-        }
-        Ok(BlankNode::new(label))
-    }
-
-    fn prefixed_name(&mut self) -> Result<Iri, RdfError> {
-        let mut prefix = String::new();
-        while matches!(self.peek(), Some(c) if (c as char).is_alphanumeric() || c == b'_' || c == b'-' || c == b'.')
-        {
-            prefix.push(self.bump().unwrap() as char);
-        }
-        if !self.eat(b':') {
+    /// The IRI a prefixed name stands for.
+    fn resolve(&self, (prefix, local): (&str, Option<&str>)) -> Result<Iri, RdfError> {
+        let Some(local) = local else {
             return Err(self.err(format!("expected prefixed name, got {prefix:?}")));
-        }
-        let ns = self
-            .prefixes
-            .get(&prefix)
-            .ok_or_else(|| RdfError::UnknownPrefix(prefix.clone()))?
-            .clone();
-        let mut local = String::new();
-        while matches!(self.peek(), Some(c) if (c as char).is_alphanumeric() || c == b'_' || c == b'-')
-        {
-            local.push(self.bump().unwrap() as char);
-        }
+        };
+        let ns = self.prefixes.get(prefix);
+        let ns = ns.ok_or_else(|| RdfError::UnknownPrefix(prefix.to_string()))?;
         Iri::parse(format!("{ns}{local}"))
     }
 
-    fn quoted_literal(&mut self) -> Result<Literal, RdfError> {
-        let quote = self.bump().unwrap(); // '"' or '\''
-                                          // Long string form? ("""...""" / '''...''')
-        let long = self.peek() == Some(quote) && self.peek_at(1) == Some(quote);
-        if long {
-            self.bump();
-            self.bump();
-        }
-        let mut raw = String::new();
-        loop {
-            match self.bump() {
-                Some(b'\\') => {
-                    raw.push('\\');
-                    match self.bump() {
-                        Some(c) => raw.push(c as char),
-                        None => return Err(self.err("unterminated escape")),
-                    }
-                }
-                Some(c) if c == quote => {
-                    if !long {
-                        break;
-                    }
-                    if self.peek() == Some(quote) && self.peek_at(1) == Some(quote) {
-                        self.bump();
-                        self.bump();
-                        break;
-                    }
-                    raw.push(quote as char);
-                }
-                Some(c) => {
-                    if c == b'\n' && !long {
-                        return Err(self.err("newline in short literal"));
-                    }
-                    // Collect multibyte UTF-8 transparently.
-                    raw.push(c as char);
-                }
-                None => return Err(self.err("unterminated literal")),
-            }
-        }
-        // The byte-wise push above mangles multibyte chars; recover them by
-        // re-decoding from the original slice when non-ASCII is present.
-        let lexical = if raw.is_ascii() {
-            unescape_literal(&raw).ok_or_else(|| self.err("malformed escape"))?
-        } else {
-            let fixed = fix_utf8(&raw);
-            unescape_literal(&fixed).ok_or_else(|| self.err("malformed escape"))?
-        };
-        match self.peek() {
-            Some(b'@') => {
-                self.bump();
-                let mut lang = String::new();
-                while matches!(self.peek(), Some(c) if (c as char).is_ascii_alphanumeric() || c == b'-')
-                {
-                    lang.push(self.bump().unwrap() as char);
-                }
-                Ok(Literal::lang_string(lexical, lang))
-            }
+    fn literal(&mut self) -> Result<Literal, RdfError> {
+        let lexical = self.cur.string_literal()?;
+        Ok(match self.cur.peek() {
+            Some(b'@') => Literal::lang_string(lexical, self.cur.lang_tag()?),
             Some(b'^') => {
-                self.bump();
-                self.expect(b'^')?;
-                self.skip_ws();
-                let dt = match self.peek() {
-                    Some(b'<') => self.iri_ref()?,
-                    _ => self.prefixed_name()?,
-                };
-                Ok(Literal::typed(lexical, dt))
-            }
-            _ => Ok(Literal::string(lexical)),
-        }
-    }
-
-    fn numeric_literal(&mut self) -> Result<Literal, RdfError> {
-        let mut s = String::new();
-        if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-            s.push(self.bump().unwrap() as char);
-        }
-        let mut is_double = false;
-        let mut is_decimal = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => s.push(self.bump().unwrap() as char),
-                b'.' => {
-                    // A '.' followed by a digit is a decimal point; otherwise
-                    // it terminates the statement.
-                    if self
-                        .peek_at(1)
-                        .is_some_and(|d| (d as char).is_ascii_digit())
-                    {
-                        is_decimal = true;
-                        s.push(self.bump().unwrap() as char);
-                    } else {
-                        break;
-                    }
+                self.cur.expect("^^")?;
+                self.cur.skip_ws();
+                if self.cur.peek() == Some(b'<') {
+                    Literal::typed(lexical, self.iri()?)
+                } else {
+                    let name = self.cur.pname();
+                    Literal::typed(lexical, self.resolve(name)?)
                 }
-                b'e' | b'E' => {
-                    is_double = true;
-                    s.push(self.bump().unwrap() as char);
-                    if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                        s.push(self.bump().unwrap() as char);
-                    }
-                }
-                _ => break,
             }
-        }
-        if is_double {
-            s.parse::<f64>()
-                .map(|_| Literal::typed(s.clone(), Iri::new(xsd::DOUBLE)))
-                .map_err(|_| self.err("bad double literal"))
-        } else if is_decimal {
-            s.parse::<f64>()
-                .map(|_| Literal::typed(s.clone(), Iri::new(xsd::DECIMAL)))
-                .map_err(|_| self.err("bad decimal literal"))
-        } else {
-            s.parse::<i64>()
-                .map(Literal::integer)
-                .map_err(|_| self.err("bad integer literal"))
-        }
+            _ => Literal::string(lexical),
+        })
     }
-}
-
-/// Repairs a string whose multibyte UTF-8 sequences were pushed byte-wise
-/// as individual `char`s in the 0..=255 range.
-fn fix_utf8(s: &str) -> String {
-    let bytes: Vec<u8> = s.chars().map(|c| c as u32 as u8).collect();
-    String::from_utf8_lossy(&bytes).into_owned()
 }
 
 /// Serializes a graph as Turtle, grouping by subject and abbreviating with
@@ -705,6 +469,28 @@ ex:s ex:p "2016-03-15"^^xsd:date .
         let doc = "PREFIX ex: <http://e.org/>\nex:s ex:p ex:o .\n";
         let g = parse(doc).unwrap();
         assert_eq!(g.len(), 1);
+    }
+
+    /// Non-ASCII IRIs, blank labels and prefixed-name locals are the code
+    /// points written: a plain N-Triples line reads the same in both parsers.
+    #[test]
+    fn non_ascii_names_agree_with_ntriples() {
+        let line = "<http://ex.org/café> <http://ex.org/naïve> _:b火 .\n";
+        let g = parse(line).unwrap();
+        assert_eq!(g, crate::ntriples::parse(line).unwrap());
+        assert_eq!(
+            g.iter().next().unwrap().subject,
+            Term::iri("http://ex.org/café")
+        );
+        let abbreviated = "@prefix ex: <http://ex.org/> .\nex:café ex:naïve _:b火 .\n";
+        assert_eq!(parse(abbreviated).unwrap(), g);
+    }
+
+    #[test]
+    fn an_empty_language_tag_is_a_syntax_error() {
+        let doc = "<http://e.org/s> <http://e.org/p> \"x\"@ .\n";
+        assert!(matches!(parse(doc), Err(RdfError::Syntax { line: 1, .. })));
+        assert!(crate::ntriples::parse(doc).is_err());
     }
 
     #[test]

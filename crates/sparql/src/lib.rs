@@ -19,6 +19,17 @@
 //! * `ORDER BY` (`ASC`/`DESC`), `LIMIT` / `OFFSET`,
 //! * `PREFIX` declarations and numeric/boolean literal abbreviations.
 //!
+//! Terms in a query are read by `wodex-rdf`'s term lexer
+//! (`wodex_rdf::lex`), the one the N-Triples and Turtle parsers use: query
+//! text is UTF-8 and IRIs, prefixed names and literals may hold any
+//! script; strings take either quote, the long `"""` forms, and the
+//! `\t \n \r \" \' \\ \uXXXX \UXXXXXXXX` escapes; `1` is an `xsd:integer`,
+//! `1.5` an `xsd:decimal`, `1e3` an `xsd:double`, exactly as in Turtle, so
+//! a constant matches the term a document loaded. What is SPARQL's own
+//! stays in [`parser`]: variables, keywords, punctuation, and telling
+//! `<iri>` from less-than. A [`parser::ParseError`] carries the byte
+//! offset of the offending token, or the text's length at end of input.
+//!
 //! There is **one BGP executor** ([`plan`]): a single step loop joins
 //! every pattern group — required groups, UNION combinations, OPTIONAL
 //! blocks — compiled onto the store's pattern indexes, applies filters

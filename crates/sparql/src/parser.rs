@@ -1,9 +1,11 @@
 //! The SPARQL-subset parser: a hand-written tokenizer + recursive descent.
 
 use crate::ast::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use wodex_rdf::lex::{Cursor, LexError};
 use wodex_rdf::term::Literal;
-use wodex_rdf::vocab::{rdf, xsd};
+use wodex_rdf::vocab::rdf;
 use wodex_rdf::{Iri, Term};
 
 /// A parse error with a message and byte offset.
@@ -23,312 +25,153 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl From<LexError> for ParseError {
+    fn from(e: LexError) -> Self {
+        ParseError {
+            message: e.message,
+            offset: e.offset,
+        }
+    }
+}
+
+/// A token: slices of the query text, positioned by the shared term
+/// lexer ([`wodex_rdf::lex`]).
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Iri(String),
-    PName(String, String),
-    Var(String),
-    Str(String, Option<String>, Option<String>), // lexical, lang, datatype-iri
-    Num(String),
-    Ident(String), // keywords and 'a'
+enum Tok<'a> {
+    Iri(&'a str),
+    PName(&'a str, &'a str),
+    Var(&'a str),
+    /// Lexical form, language tag, datatype.
+    Str(Cow<'a, str>, Option<&'a str>, Option<Datatype<'a>>),
+    /// Lexical form and datatype IRI.
+    Num(&'a str, &'static str),
+    /// Keywords and `a`.
+    Ident(&'a str),
     Punct(&'static str),
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
+/// How a literal's `^^` datatype was written.
+#[derive(Debug, Clone, PartialEq)]
+enum Datatype<'a> {
+    Iri(&'a str),
+    PName(&'a str, &'a str),
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
+/// True if the `<` that `rest` starts with opens an IRI (a `>` occurs
+/// before any whitespace) rather than a comparison.
+fn lt_is_iri(rest: &str) -> bool {
+    let stop = rest.bytes().find(|b| *b == b'>' || b.is_ascii_whitespace());
+    stop == Some(b'>')
+}
+
+/// Operators and punctuation, each before any prefix of itself.
+const PUNCT: [&str; 17] = [
+    "{", "}", "(", ")", ".", ";", ",", "*", "=", "!=", "!", "<=", "<", ">=", ">", "&&", "||",
+];
+
+fn unexpected(cur: &Cursor) -> ParseError {
+    let c = cur.rest().chars().next().unwrap_or_default();
+    cur.error(format!("unexpected character {c:?}")).into()
+}
+
+fn next_tok<'a>(cur: &mut Cursor<'a>) -> Result<Option<(Tok<'a>, usize)>, ParseError> {
+    cur.skip_ws();
+    let start = cur.pos();
+    let Some(c) = cur.peek() else {
+        return Ok(None);
+    };
+    let tok = match c {
+        b'<' if lt_is_iri(cur.rest()) => Tok::Iri(cur.iri_ref()?),
+        b'?' | b'$' => {
+            cur.eat(c);
+            let name = cur.take_while(|ch| ch.is_ascii_alphanumeric() || ch == '_');
+            if name.is_empty() {
+                return Err(cur.error("empty variable name").into());
+            }
+            Tok::Var(name)
         }
-    }
-
-    fn error(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            message: msg.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.peek_byte() {
-            if c.is_ascii_whitespace() {
-                self.pos += 1;
-            } else if c == b'#' {
-                while let Some(c) = self.peek_byte() {
-                    self.pos += 1;
-                    if c == b'\n' {
-                        break;
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// True if `<` at the current position opens an IRI (a `>` occurs
-    /// before any whitespace).
-    fn lt_is_iri(&self) -> bool {
-        let mut i = self.pos + 1;
-        while let Some(&c) = self.src.get(i) {
-            if c == b'>' {
-                return true;
-            }
-            if c.is_ascii_whitespace() {
-                return false;
-            }
-            i += 1;
-        }
-        false
-    }
-
-    fn next_tok(&mut self) -> Result<Option<(Tok, usize)>, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        let Some(c) = self.peek_byte() else {
-            return Ok(None);
-        };
-        let tok = match c {
-            b'<' if self.lt_is_iri() => {
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.peek_byte() {
-                        Some(b'>') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        Some(ch) => {
-                            s.push(ch as char);
-                            self.pos += 1;
-                        }
-                        None => return Err(self.error("unterminated IRI")),
-                    }
-                }
-                Tok::Iri(s)
-            }
-            b'?' | b'$' => {
-                self.pos += 1;
-                let mut s = String::new();
-                while matches!(self.peek_byte(), Some(ch) if ch.is_ascii_alphanumeric() || ch == b'_')
-                {
-                    s.push(self.src[self.pos] as char);
-                    self.pos += 1;
-                }
-                if s.is_empty() {
-                    return Err(self.error("empty variable name"));
-                }
-                Tok::Var(s)
-            }
-            b'"' | b'\'' => {
-                let quote = c;
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.peek_byte() {
-                        Some(b'\\') => {
-                            self.pos += 1;
-                            match self.peek_byte() {
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'r') => s.push('\r'),
-                                Some(ch) => s.push(ch as char),
-                                None => return Err(self.error("unterminated escape")),
-                            }
-                            self.pos += 1;
-                        }
-                        Some(ch) if ch == quote => {
-                            self.pos += 1;
-                            break;
-                        }
-                        Some(ch) => {
-                            s.push(ch as char);
-                            self.pos += 1;
-                        }
-                        None => return Err(self.error("unterminated string")),
-                    }
-                }
-                // Optional @lang or ^^dt.
-                let mut lang = None;
-                let mut dt = None;
-                if self.peek_byte() == Some(b'@') {
-                    self.pos += 1;
-                    let mut l = String::new();
-                    while matches!(self.peek_byte(), Some(ch) if ch.is_ascii_alphanumeric() || ch == b'-')
-                    {
-                        l.push(self.src[self.pos] as char);
-                        self.pos += 1;
-                    }
-                    lang = Some(l);
-                } else if self.peek_byte() == Some(b'^') {
-                    self.pos += 2; // ^^
-                    if self.peek_byte() == Some(b'<') {
-                        self.pos += 1;
-                        let mut iri = String::new();
-                        while let Some(ch) = self.peek_byte() {
-                            self.pos += 1;
-                            if ch == b'>' {
-                                break;
-                            }
-                            iri.push(ch as char);
-                        }
-                        dt = Some(iri);
+        b'"' | b'\'' => {
+            let lexical = cur.string_literal()?;
+            match cur.peek() {
+                Some(b'@') => Tok::Str(lexical, Some(cur.lang_tag()?), None),
+                Some(b'^') => {
+                    cur.expect("^^")?;
+                    let datatype = if cur.peek() == Some(b'<') {
+                        Datatype::Iri(cur.iri_ref()?)
                     } else {
-                        // prefixed-name datatype: return as "prefix:local"
-                        // marker to be resolved by the parser.
-                        let mut pn = String::new();
-                        while matches!(self.peek_byte(), Some(ch) if ch.is_ascii_alphanumeric() || ch == b':' || ch == b'_')
-                        {
-                            pn.push(self.src[self.pos] as char);
-                            self.pos += 1;
-                        }
-                        dt = Some(format!("\u{1}{pn}")); // \u1 marks prefixed
-                    }
+                        let at = cur.pos();
+                        let (prefix, Some(local)) = cur.pname() else {
+                            return Err(cur.error_at(at, "bad datatype after '^^'").into());
+                        };
+                        Datatype::PName(prefix, local)
+                    };
+                    Tok::Str(lexical, None, Some(datatype))
                 }
-                Tok::Str(s, lang, dt)
+                _ => Tok::Str(lexical, None, None),
             }
-            b'0'..=b'9' | b'+' | b'-' => {
-                let mut s = String::new();
-                s.push(c as char);
-                self.pos += 1;
-                while matches!(self.peek_byte(), Some(ch) if ch.is_ascii_digit() || ch == b'.' || ch == b'e' || ch == b'E')
-                {
-                    // A '.' not followed by a digit ends the number.
-                    if self.src[self.pos] == b'.'
-                        && !self
-                            .src
-                            .get(self.pos + 1)
-                            .is_some_and(|d| d.is_ascii_digit())
-                    {
-                        break;
-                    }
-                    s.push(self.src[self.pos] as char);
-                    self.pos += 1;
-                }
-                Tok::Num(s)
-            }
-            b'{' | b'}' | b'(' | b')' | b'.' | b';' | b',' | b'*' => {
-                self.pos += 1;
-                Tok::Punct(match c {
-                    b'{' => "{",
-                    b'}' => "}",
-                    b'(' => "(",
-                    b')' => ")",
-                    b'.' => ".",
-                    b';' => ";",
-                    b',' => ",",
-                    _ => "*",
-                })
-            }
-            b'=' => {
-                self.pos += 1;
-                Tok::Punct("=")
-            }
-            b'!' => {
-                self.pos += 1;
-                if self.peek_byte() == Some(b'=') {
-                    self.pos += 1;
-                    Tok::Punct("!=")
-                } else {
-                    Tok::Punct("!")
-                }
-            }
-            b'<' => {
-                self.pos += 1;
-                if self.peek_byte() == Some(b'=') {
-                    self.pos += 1;
-                    Tok::Punct("<=")
-                } else {
-                    Tok::Punct("<")
-                }
-            }
-            b'>' => {
-                self.pos += 1;
-                if self.peek_byte() == Some(b'=') {
-                    self.pos += 1;
-                    Tok::Punct(">=")
-                } else {
-                    Tok::Punct(">")
-                }
-            }
-            b'&' => {
-                self.pos += 2;
-                Tok::Punct("&&")
-            }
-            b'|' => {
-                self.pos += 2;
-                Tok::Punct("||")
-            }
-            _ if c.is_ascii_alphabetic() || c == b'_' => {
-                let mut s = String::new();
-                while matches!(self.peek_byte(), Some(ch) if ch.is_ascii_alphanumeric() || ch == b'_' || ch == b'-')
-                {
-                    s.push(self.src[self.pos] as char);
-                    self.pos += 1;
-                }
-                if self.peek_byte() == Some(b':') {
-                    // prefixed name
-                    self.pos += 1;
-                    let mut local = String::new();
-                    while matches!(self.peek_byte(), Some(ch) if ch.is_ascii_alphanumeric() || ch == b'_' || ch == b'-')
-                    {
-                        local.push(self.src[self.pos] as char);
-                        self.pos += 1;
-                    }
-                    Tok::PName(s, local)
-                } else {
-                    Tok::Ident(s)
-                }
-            }
-            _ => return Err(self.error(format!("unexpected character {:?}", c as char))),
-        };
-        Ok(Some((tok, start)))
-    }
+        }
+        b'0'..=b'9' | b'+' | b'-' => {
+            let (lexical, datatype) = cur.numeric_literal()?;
+            Tok::Num(lexical, datatype)
+        }
+        _ if c.is_ascii_alphabetic() || c == b'_' || !c.is_ascii() => match cur.pname() {
+            (prefix, Some(local)) => Tok::PName(prefix, local),
+            ("", None) => return Err(unexpected(cur)),
+            (word, None) => Tok::Ident(word),
+        },
+        _ => {
+            let found = PUNCT.iter().find(|p| cur.rest().starts_with(**p));
+            let p = found.ok_or_else(|| unexpected(cur))?;
+            cur.expect(p)?;
+            Tok::Punct(p)
+        }
+    };
+    Ok(Some((tok, start)))
 }
 
 /// Parses a query string.
 pub fn parse_query(text: &str) -> Result<Query, ParseError> {
-    let mut lexer = Lexer::new(text);
+    let mut cur = Cursor::new(text);
     let mut toks = Vec::new();
-    while let Some(t) = lexer.next_tok()? {
+    while let Some(t) = next_tok(&mut cur)? {
         toks.push(t);
     }
     Parser {
         toks,
         pos: 0,
+        end: text.len(),
         prefixes: HashMap::new(),
     }
     .parse()
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
-    prefixes: HashMap<String, String>,
+    /// The query's length: where an error at end of input points.
+    end: usize,
+    prefixes: HashMap<&'a str, &'a str>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    /// An error at the next token (at end of input: at its length).
     fn error(&self, msg: impl Into<String>) -> ParseError {
+        self.error_at(self.pos, msg)
+    }
+
+    /// An error at token `index`.
+    fn error_at(&self, index: usize, msg: impl Into<String>) -> ParseError {
         ParseError {
             message: msg.into(),
-            offset: self.toks.get(self.pos).map(|t| t.1).unwrap_or(usize::MAX),
+            offset: self.toks.get(index).map_or(self.end, |t| t.1),
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos).map(|t| &t.0)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
+    fn bump(&mut self) -> Option<Tok<'a>> {
         let t = self.toks.get(self.pos).map(|t| t.0.clone());
         if t.is_some() {
             self.pos += 1;
@@ -378,7 +221,7 @@ impl Parser {
         // Prologue.
         while self.eat_kw("PREFIX") {
             let (name, iri) = match (self.bump(), self.bump()) {
-                (Some(Tok::PName(p, local)), Some(Tok::Iri(iri))) if local.is_empty() => (p, iri),
+                (Some(Tok::PName(p, "")), Some(Tok::Iri(iri))) => (p, iri),
                 other => return Err(self.error(format!("bad PREFIX declaration: {other:?}"))),
             };
             self.prefixes.insert(name, iri);
@@ -392,7 +235,7 @@ impl Parser {
                     match self.peek() {
                         Some(Tok::Var(_)) => {
                             if let Some(Tok::Var(v)) = self.bump() {
-                                projections.push(Projection::Var(v));
+                                projections.push(Projection::Var(v.to_string()));
                             }
                         }
                         Some(Tok::Punct("(")) => {
@@ -400,7 +243,7 @@ impl Parser {
                             let agg = self.parse_aggregate()?;
                             self.expect_kw("AS")?;
                             let alias = match self.bump() {
-                                Some(Tok::Var(v)) => v,
+                                Some(Tok::Var(v)) => v.to_string(),
                                 other => {
                                     return Err(
                                         self.error(format!("expected ?alias, got {other:?}"))
@@ -434,7 +277,7 @@ impl Parser {
                     }
                     Some(Tok::PName(_, _)) => {
                         if let Some(Tok::PName(pfx, local)) = self.bump() {
-                            resources.push(self.resolve_pname(&pfx, &local)?);
+                            resources.push(Term::Iri(self.resolve_pname(pfx, local)?));
                         }
                     }
                     _ => break,
@@ -528,7 +371,7 @@ impl Parser {
                 self.expect_kw("BY")?;
                 while let Some(Tok::Var(_)) = self.peek() {
                     if let Some(Tok::Var(v)) = self.bump() {
-                        group_by.push(v);
+                        group_by.push(v.to_string());
                     }
                 }
                 if group_by.is_empty() {
@@ -538,7 +381,7 @@ impl Parser {
                 self.expect_kw("BY")?;
                 loop {
                     if self.eat_kw("ASC") || self.eat_kw("DESC") {
-                        let dir = if matches!(self.toks[self.pos - 1].0, Tok::Ident(ref s) if s.eq_ignore_ascii_case("DESC"))
+                        let dir = if matches!(self.toks[self.pos - 1].0, Tok::Ident(s) if s.eq_ignore_ascii_case("DESC"))
                         {
                             SortDir::Desc
                         } else {
@@ -546,7 +389,7 @@ impl Parser {
                         };
                         self.expect_punct("(")?;
                         match self.bump() {
-                            Some(Tok::Var(v)) => order_by.push((v, dir)),
+                            Some(Tok::Var(v)) => order_by.push((v.to_string(), dir)),
                             other => {
                                 return Err(self.error(format!("expected ?var, got {other:?}")))
                             }
@@ -554,7 +397,7 @@ impl Parser {
                         self.expect_punct(")")?;
                     } else if let Some(Tok::Var(_)) = self.peek() {
                         if let Some(Tok::Var(v)) = self.bump() {
-                            order_by.push((v, SortDir::Asc));
+                            order_by.push((v.to_string(), SortDir::Asc));
                         }
                     } else {
                         break;
@@ -621,7 +464,7 @@ impl Parser {
 
     fn parse_usize(&mut self) -> Result<usize, ParseError> {
         match self.bump() {
-            Some(Tok::Num(s)) => s
+            Some(Tok::Num(s, _)) => s
                 .parse()
                 .map_err(|_| self.error(format!("bad number {s:?}"))),
             other => Err(self.error(format!("expected number, got {other:?}"))),
@@ -654,62 +497,53 @@ impl Parser {
 
     fn parse_var(&mut self) -> Result<String, ParseError> {
         match self.bump() {
-            Some(Tok::Var(v)) => Ok(v),
+            Some(Tok::Var(v)) => Ok(v.to_string()),
             other => Err(self.error(format!("expected variable, got {other:?}"))),
         }
     }
 
-    fn resolve_pname(&self, prefix: &str, local: &str) -> Result<Term, ParseError> {
-        let ns = self.prefixes.get(prefix).ok_or_else(|| ParseError {
-            message: format!("unknown prefix {prefix:?}"),
-            offset: 0,
-        })?;
-        Ok(Term::iri(format!("{ns}{local}")))
+    /// The IRI of the prefixed name in the token just consumed.
+    fn resolve_pname(&self, prefix: &str, local: &str) -> Result<Iri, ParseError> {
+        let ns = self.prefixes.get(prefix);
+        let ns =
+            ns.ok_or_else(|| self.error_at(self.pos - 1, format!("unknown prefix {prefix:?}")))?;
+        Ok(Iri::new(format!("{ns}{local}")))
     }
 
-    fn literal_from_tok(
+    /// The literal of the string token just consumed.
+    fn literal(
         &self,
-        lex: String,
-        lang: Option<String>,
-        dt: Option<String>,
+        lexical: Cow<str>,
+        lang: Option<&str>,
+        datatype: Option<Datatype>,
     ) -> Result<Term, ParseError> {
-        if let Some(lang) = lang {
-            return Ok(Term::Literal(Literal::lang_string(lex, lang)));
-        }
-        if let Some(dt) = dt {
-            let iri = if let Some(pn) = dt.strip_prefix('\u{1}') {
-                let (p, l) = pn.split_once(':').ok_or_else(|| ParseError {
-                    message: format!("bad datatype {pn:?}"),
-                    offset: 0,
-                })?;
-                match self.resolve_pname(p, l)? {
-                    Term::Iri(i) => i,
-                    _ => unreachable!("resolve_pname returns IRIs"),
-                }
-            } else {
-                Iri::new(dt)
-            };
-            return Ok(Term::Literal(Literal::typed(lex, iri)));
-        }
-        Ok(Term::literal(lex))
+        Ok(Term::Literal(match (lang, datatype) {
+            (Some(lang), _) => Literal::lang_string(lexical, lang),
+            (None, Some(Datatype::Iri(iri))) => Literal::typed(lexical, Iri::new(iri)),
+            (None, Some(Datatype::PName(prefix, local))) => {
+                Literal::typed(lexical, self.resolve_pname(prefix, local)?)
+            }
+            (None, None) => Literal::string(lexical),
+        }))
     }
 
     fn parse_term_or_var(&mut self, _subject_position: bool) -> Result<TermOrVar, ParseError> {
         match self.bump() {
-            Some(Tok::Var(v)) => Ok(TermOrVar::Var(v)),
+            Some(Tok::Var(v)) => Ok(TermOrVar::Var(v.to_string())),
             Some(Tok::Iri(iri)) => Ok(TermOrVar::Term(Term::iri(iri))),
-            Some(Tok::PName(p, l)) => Ok(TermOrVar::Term(self.resolve_pname(&p, &l)?)),
-            Some(Tok::Ident(s)) if s == "a" => Ok(TermOrVar::Term(Term::iri(rdf::TYPE))),
+            Some(Tok::PName(p, l)) => Ok(TermOrVar::Term(Term::Iri(self.resolve_pname(p, l)?))),
+            Some(Tok::Ident("a")) => Ok(TermOrVar::Term(Term::iri(rdf::TYPE))),
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("true") => {
                 Ok(TermOrVar::Term(Term::Literal(Literal::boolean(true))))
             }
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("false") => {
                 Ok(TermOrVar::Term(Term::Literal(Literal::boolean(false))))
             }
-            Some(Tok::Str(lex, lang, dt)) => {
-                Ok(TermOrVar::Term(self.literal_from_tok(lex, lang, dt)?))
-            }
-            Some(Tok::Num(s)) => Ok(TermOrVar::Term(number_term(&s))),
+            Some(Tok::Str(lex, lang, dt)) => Ok(TermOrVar::Term(self.literal(lex, lang, dt)?)),
+            Some(Tok::Num(s, dt)) => Ok(TermOrVar::Term(Term::Literal(Literal::typed(
+                s,
+                Iri::new(dt),
+            )))),
             other => Err(self.error(format!("expected term or variable, got {other:?}"))),
         }
     }
@@ -771,18 +605,18 @@ impl Parser {
             }
             Some(Tok::Var(_)) => {
                 if let Some(Tok::Var(v)) = self.bump() {
-                    Ok(Expr::Var(v))
+                    Ok(Expr::Var(v.to_string()))
                 } else {
                     unreachable!()
                 }
             }
-            Some(Tok::Num(s)) => {
+            Some(Tok::Num(s, dt)) => {
                 self.bump();
-                Ok(Expr::Const(number_term(&s)))
+                Ok(Expr::Const(Term::Literal(Literal::typed(s, Iri::new(dt)))))
             }
             Some(Tok::Str(lex, lang, dt)) => {
                 self.bump();
-                Ok(Expr::Const(self.literal_from_tok(lex, lang, dt)?))
+                Ok(Expr::Const(self.literal(lex, lang, dt)?))
             }
             Some(Tok::Iri(iri)) => {
                 self.bump();
@@ -790,7 +624,7 @@ impl Parser {
             }
             Some(Tok::PName(p, l)) => {
                 self.bump();
-                Ok(Expr::Const(self.resolve_pname(&p, &l)?))
+                Ok(Expr::Const(Term::Iri(self.resolve_pname(p, l)?)))
             }
             Some(Tok::Ident(name)) => {
                 self.bump();
@@ -829,18 +663,10 @@ impl Parser {
     }
 }
 
-/// Converts a numeric token to a typed literal term.
-fn number_term(s: &str) -> Term {
-    if s.contains(['.', 'e', 'E']) {
-        Term::Literal(Literal::typed(s, Iri::new(xsd::DOUBLE)))
-    } else {
-        Term::Literal(Literal::typed(s, Iri::new(xsd::INTEGER)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wodex_rdf::vocab::xsd;
 
     #[test]
     fn parse_minimal_select() {
@@ -864,6 +690,92 @@ mod tests {
             q.patterns[1].p,
             TermOrVar::Term(Term::iri("http://xmlns.com/foaf/0.1/name"))
         );
+    }
+
+    /// One numeric rule with Turtle: the same digits are the same term,
+    /// so a constant finds what a Turtle document loaded.
+    #[test]
+    fn numeric_constants_take_the_turtle_datatypes() {
+        let q = parse_query("SELECT ?s WHERE { ?s <http://e.org/p> 1.5, 7, -2e3 }").unwrap();
+        let objects: Vec<_> = q.patterns.iter().map(|p| p.o.clone()).collect();
+        let typed = |lex: &str, dt: &str| TermOrVar::Term(Literal::typed(lex, Iri::new(dt)).into());
+        assert_eq!(
+            objects,
+            [
+                typed("1.5", xsd::DECIMAL),
+                typed("7", xsd::INTEGER),
+                typed("-2e3", xsd::DOUBLE)
+            ]
+        );
+        let doc = "<http://e.org/s> <http://e.org/p> 1.5, 7, -2e3 .";
+        let store = wodex_store::TripleStore::from_graph(&wodex_rdf::turtle::parse(doc).unwrap());
+        for constant in ["1.5", "7", "-2e3"] {
+            let text = format!("SELECT ?s WHERE {{ ?s <http://e.org/p> {constant} }}");
+            match crate::query(&store, &text).unwrap() {
+                crate::QueryResult::Solutions(t) => assert_eq!(t.rows.len(), 1, "{constant}"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_ascii_and_escaped_constants_are_the_terms_written() {
+        let q = parse_query(
+            "PREFIX ex: <http://e.org/>\n\
+             SELECT * WHERE { <http://e.org/café> ex:naïve \"caf\\u00E9 \\\"火\\\" \\\\ \\U0001F600\"@fr . \
+             ?s ?p 'it\\'s ☂' FILTER(CONTAINS(?o, \"é\")) }",
+        )
+        .unwrap();
+        assert_eq!(
+            q.patterns[0].s,
+            TermOrVar::Term(Term::iri("http://e.org/café"))
+        );
+        assert_eq!(
+            q.patterns[0].p,
+            TermOrVar::Term(Term::iri("http://e.org/naïve"))
+        );
+        assert_eq!(
+            q.patterns[0].o,
+            TermOrVar::Term(Literal::lang_string("café \"火\" \\ 😀", "fr").into())
+        );
+        assert_eq!(q.patterns[1].o, TermOrVar::Term(Term::literal("it's ☂")));
+        match &q.filters[0] {
+            Expr::Contains(_, needle) => assert_eq!(**needle, Expr::Const(Term::literal("é"))),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Truncated and malformed input fails at a byte of the input (or its
+    /// length, at end of input) — never accepted, never past the end. Each
+    /// row marks the expected offset with `¦`.
+    #[test]
+    fn errors_point_at_the_offending_byte() {
+        for marked in [
+            "SELECT * WHERE { ?s ?p \"x\"¦^",
+            "SELECT * WHERE { ?s ?p \"x\"^^¦",
+            "SELECT * WHERE { ?s ?p \"x\"^^<http://unterminated¦",
+            "SELECT * WHERE { ?s ?p \"x\"^^<http://a¦ b> }",
+            "SELECT * WHERE { ?s ?p \"x\"^^¦nocolon }",
+            "SELECT * WHERE { ?s ?p \"x\"@¦ }",
+            "SELECT * WHERE { ?s ?p \"x¦",
+            "SELECT * WHERE { ?s ?p \"x¦\\",
+            "SELECT * WHERE { ?s ?p ¦\"x\\q\" }",
+            "SELECT * WHERE { ?s ?p ¦\"x\"^^xsd:date }", // unknown prefix: the token
+            "SELECT * WHERE { ?s ¦ex:p ?o }",
+            "SELECT * WHERE { ?s <http:¦//e.org/p", // no '>': a less-than, then a name
+            "SELECT * WHERE { ?s ?p ?o FILTER(?o ¦& ?s) }",
+            "SELECT * WHERE { ?s ?p ?o FILTER(?o ¦|",
+            "SELECT * WHERE { ?s ?p ?o FILTER(?o > -¦) }",
+            "SELECT * WHERE { ?s ?p ?o FILTER(?o > ¦☂) }",
+            "SELECT * WHERE { ?s ?p ?¦ }",
+            "SELECT * WHERE { ?s ?p ?o¦",
+            "SELECT * WHERE { ?s ?p ?o } LIMIT¦",
+            "¦",
+        ] {
+            let text = marked.replace('¦', "");
+            let e = parse_query(&text).expect_err(marked);
+            assert_eq!(e.offset, marked.find('¦').unwrap(), "{marked} → {e}");
+        }
     }
 
     #[test]

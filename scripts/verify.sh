@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> one term lexer (no byte-pushing scanner beside crates/rdf/src/lex.rs)"
+if grep -rn "fix_utf8\|struct Scanner" crates/rdf/src; then
+    echo "verify: FAIL — a second term scanner is back in wodex-rdf"
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -66,7 +72,15 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/smoke.ttl" <<'TTL'
 @prefix ex: <http://example.org/> .
 ex:a ex:population 100 . ex:b ex:population 200 . ex:c ex:population 300 .
+<http://example.org/zürich> ex:population 400 .
 TTL
+# A non-ASCII IRI comes out of the Turtle parser as the code points written.
+QUERY_OUT=$(./target/release/wodex query "$SMOKE_DIR/smoke.ttl" \
+    'SELECT ?s WHERE { ?s <http://example.org/population> 400 }')
+echo "$QUERY_OUT" | grep -q 'http://example.org/zürich' || {
+    echo "verify: FAIL — wodex query mangled a non-ASCII IRI (got: $QUERY_OUT)"
+    exit 1
+}
 ./target/release/wodex serve "$SMOKE_DIR/smoke.ttl" --workers 2 \
     > "$SMOKE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -87,6 +101,22 @@ echo "$SPARQL_OUT" | grep -q '"bindings":\[' || {
     echo "verify: FAIL — /sparql did not return SPARQL JSON (got: $SPARQL_OUT)"
     exit 1
 }
+# A committed non-ASCII triple is found by its literal and by its IRI.
+LABEL='http://www.w3.org/2000/01/rdf-schema#label'
+curl -sf -d "<http://example.org/café> <$LABEL> \"café\"@fr ." \
+    "http://127.0.0.1:$PORT/data" > /dev/null || {
+    echo "verify: FAIL — POST /data refused a non-ASCII triple"
+    exit 1
+}
+for QUERY in "SELECT ?s WHERE { ?s <$LABEL> \"café\"@fr }" \
+    "SELECT ?o WHERE { <http://example.org/café> <$LABEL> ?o }"; do
+    # One projected variable: one typed value per binding.
+    ROWS=$(curl -sf -d "$QUERY" "http://127.0.0.1:$PORT/sparql" | grep -o '"type"' | wc -l)
+    [ "$ROWS" -eq 1 ] || {
+        echo "verify: FAIL — expected one binding, got '${ROWS}' for: $QUERY"
+        exit 1
+    }
+done
 # No `grep -q` here: the scrape is large, and -q exiting at the first
 # match would SIGPIPE curl and trip pipefail despite the match.
 curl -sf "http://127.0.0.1:$PORT/metrics" | grep '^wodex_serve_accepted_total' > /dev/null || {

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use wodex::exec::with_thread_override;
-use wodex::rdf::{Graph, Term, Triple, Value};
+use wodex::rdf::{Graph, Iri, Literal, Term, Triple, Value};
 use wodex::sparql::ast::{CompareOp, Projection};
 use wodex::sparql::{
     evaluate_with, parse_query, Budget, BudgetedResult, Expr, Query, QueryForm, QueryResult,
@@ -142,14 +142,14 @@ fn numeric(t: &Term) -> Option<f64> {
 }
 
 /// Whether the oracle can judge this filter: `BOUND`, the connectives,
-/// and comparisons between variables and constants — numeric by value,
-/// anything else for (in)equality only.
+/// `CONTAINS`, and comparisons between variables and constants — numeric
+/// by value, anything else for (in)equality only.
 fn judgeable(e: &Expr) -> bool {
     match e {
         Expr::Bound(_) => true,
         Expr::Not(a) => judgeable(a),
         Expr::And(a, b) | Expr::Or(a, b) => judgeable(a) && judgeable(b),
-        Expr::Compare(a, _, b) => [a, b]
+        Expr::Compare(a, _, b) | Expr::Contains(a, b) => [a, b]
             .iter()
             .all(|x| matches!(x.as_ref(), Expr::Var(_) | Expr::Const(_))),
         _ => false,
@@ -191,6 +191,15 @@ fn holds(e: &Expr, row: &Solution) -> Option<bool> {
                 (_, _, CompareOp::Ne) => Some(a != b),
                 _ => None,
             }
+        }
+        Expr::Contains(a, b) => {
+            // A literal's lexical form or an IRI's text; a blank node has neither.
+            let text = |t: Term| match t {
+                Term::Literal(l) => Some(l.lexical().to_string()),
+                Term::Iri(i) => Some(i.as_str().to_string()),
+                Term::Blank(_) => None,
+            };
+            Some(text(term(a)?)?.contains(&text(term(b)?)?))
         }
         _ => unreachable!("not judgeable"),
     }
@@ -301,10 +310,20 @@ pub fn engines_agree_with_the_oracle(store: &TripleStore, corpus: &[&str]) -> us
 /// Eight hand-written triples for the rows that probe the code *above*
 /// the engines. Subjects sort `s1 < s2 < s3`, and the first has no
 /// optional match: a query that looks at one required row only sees
-/// the wrong one.
+/// the wrong one. Four `t:label` triples beside them hold the terms
+/// [`UNICODE_ROWS`] spell.
 pub fn tiny_store() -> TripleStore {
     let iri = |local: &str| format!("http://t.org/{local}");
     let mut g = Graph::new();
+    let xsd_string = Iri::new(wodex::rdf::vocab::xsd::STRING);
+    for (s, label) in [
+        ("café", Literal::string("café")),
+        ("café", Literal::lang_string("café au lait", "fr")),
+        ("naïve", Literal::typed("naïve", xsd_string)),
+        ("s1", Literal::string("a \"q\" \\ 😀")),
+    ] {
+        g.insert(Triple::iri(&iri(s), &iri("label"), Term::Literal(label)));
+    }
     for (s, p, o) in [
         ("s1", "p", "o1"),
         ("s2", "p", "o2"),
@@ -343,4 +362,63 @@ pub const TINY_ROWS: &[&str] = &[
      FILTER(BOUND(?y) && !BOUND(?x)) }",
     "PREFIX t: <http://t.org/> \
      SELECT ?s WHERE { { ?s t:q ?x } UNION { ?s t:t ?y } OPTIONAL { ?s t:p ?o } } LIMIT 3",
+];
+
+/// Rows over [`tiny_store`] whose constants are not ASCII, or are spelled
+/// with escapes — in subject, object and FILTER position — each with the
+/// number of solutions it has. The oracle evaluates the same parsed
+/// query as the engines, so it takes the count to see a constant the
+/// parser did not read as written: all of them would agree on no rows.
+pub const UNICODE_ROWS: &[(&str, usize)] = &[
+    (
+        r#"PREFIX t: <http://t.org/> SELECT ?s WHERE { ?s t:label "café" }"#,
+        1,
+    ),
+    (
+        r#"PREFIX t: <http://t.org/> SELECT ?s WHERE { ?s t:label "caf\u00E9" }"#,
+        1,
+    ),
+    (
+        r#"PREFIX t: <http://t.org/> SELECT ?s WHERE { ?s t:label 'caf\U000000e9 au lait'@fr }"#,
+        1,
+    ),
+    (
+        r#"PREFIX t: <http://t.org/> SELECT ?s WHERE { ?s t:label "a \"q\" \\ \U0001F600" }"#,
+        1,
+    ),
+    (
+        r#"PREFIX t: <http://t.org/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+           SELECT ?s WHERE { ?s t:label "naïve"^^xsd:string }"#,
+        1,
+    ),
+    (
+        r#"SELECT ?s WHERE
+           { ?s <http://t.org/label> "naïve"^^<http://www.w3.org/2001/XMLSchema#string> }"#,
+        1,
+    ),
+    (
+        "PREFIX t: <http://t.org/> SELECT ?o WHERE { <http://t.org/café> t:label ?o }",
+        2,
+    ),
+    (
+        "PREFIX t: <http://t.org/> SELECT ?o WHERE { t:naïve t:label ?o }",
+        1,
+    ),
+    (
+        r#"PREFIX t: <http://t.org/> SELECT ?s WHERE { ?s t:label ?o FILTER(?o = "café au lait"@fr) }"#,
+        1,
+    ),
+    (
+        r#"PREFIX t: <http://t.org/> SELECT ?s ?o WHERE { ?s t:label ?o FILTER(CONTAINS(?o, "é")) }"#,
+        2,
+    ),
+    (
+        "PREFIX t: <http://t.org/> SELECT ?o WHERE { ?s t:label ?o FILTER(?s = <http://t.org/café>) }",
+        2,
+    ),
+    (
+        "PREFIX t: <http://t.org/> \
+         SELECT ?s WHERE { ?s t:label ?o FILTER(CONTAINS(?s, \"ï\") && ?o != \"café\") }",
+        1,
+    ),
 ];

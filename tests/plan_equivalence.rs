@@ -460,3 +460,18 @@ fn every_engine_agrees_with_the_brute_force_oracle() {
         TINY_ROWS.len()
     );
 }
+
+/// The parser sits above every engine *and* above the oracle: a constant
+/// it misreads is misread for all of them alike. So these rows are held
+/// to the oracle and to the number of solutions they are known to have.
+#[test]
+fn non_ascii_and_escaped_constants_find_the_terms_written() {
+    use common::{engines_agree_with_the_oracle, tiny_store, UNICODE_ROWS};
+    let store = tiny_store();
+    let texts: Vec<&str> = UNICODE_ROWS.iter().map(|row| row.0).collect();
+    assert_eq!(engines_agree_with_the_oracle(&store, &texts), texts.len());
+    for (text, solutions) in UNICODE_ROWS {
+        let got = run(&store, text, &Budget::unlimited(), Engine::Wco);
+        assert_eq!(sorted_rows(&got.result).len(), *solutions, "{text}");
+    }
+}

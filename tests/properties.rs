@@ -305,6 +305,130 @@ fn parsers_never_panic_on_junk() {
     });
 }
 
+/// A name of letters and digits from several scripts: what a blank-node
+/// label or the local part of a prefixed name may hold.
+fn unicode_name(rng: &mut StdRng) -> String {
+    const POOL: &[char] = &['a', 'Z', '7', '_', '-', 'é', 'ß', 'π', '火', '中'];
+    let len = rng.random_range(1..=6usize);
+    (0..len)
+        .map(|_| POOL[rng.random_range(0..POOL.len())])
+        .collect()
+}
+
+/// A graph whose IRIs, blank labels and literals are mostly not ASCII.
+fn arb_unicode_graph(rng: &mut StdRng) -> Graph {
+    const IRI_EXTRA: &[&str] = &["", "☂", "😀", "∞/", "#", "−.", "%C3%A9"];
+    let iri = |rng: &mut StdRng, ns: &str| {
+        let extra = IRI_EXTRA[rng.random_range(0..IRI_EXTRA.len())];
+        Term::iri(format!("{ns}{extra}{}", unicode_name(rng)))
+    };
+    let n = rng.random_range(0..30usize);
+    (0..n)
+        .map(|_| {
+            let s = match rng.random_range(0..3u32) {
+                0 => Term::blank(unicode_name(rng)),
+                _ => iri(rng, "http://e.org/s/"),
+            };
+            // A prefix the Turtle serializer abbreviates, so locals are read back too.
+            let p = Term::iri(format!("http://xmlns.com/foaf/0.1/{}", unicode_name(rng)));
+            let o = match rng.random_range(0..4u32) {
+                0 => iri(rng, "http://e.org/o/"),
+                1 => Term::blank(unicode_name(rng)),
+                2 => Term::Literal(Literal::lang_string(printable(rng, 12), "el")),
+                _ => arb_term(rng),
+            };
+            Triple::new(s, p, o)
+        })
+        .collect()
+}
+
+/// One lexer under both parsers: an N-Triples document is a Turtle
+/// document and reads the same either way, whatever script it is in.
+#[test]
+fn turtle_reads_any_ntriples_document_as_ntriples_does() {
+    for_each_case(17, |rng| {
+        let g = arb_unicode_graph(rng);
+        let doc = wodex::rdf::ntriples::serialize(&g);
+        let from_nt = wodex::rdf::ntriples::parse(&doc).expect("own serialization parses");
+        assert_eq!(from_nt, g, "{doc}");
+        let from_ttl = wodex::rdf::turtle::parse(&doc).expect("N-Triples is Turtle");
+        assert_eq!(from_ttl, from_nt, "{doc}");
+        let ttl = wodex::rdf::turtle::serialize(&g);
+        let back = wodex::rdf::turtle::parse(&ttl).expect("own serialization parses");
+        assert_eq!(back, g, "{ttl}");
+    });
+}
+
+/// Base seed of the mutation sweep; override with `WODEX_FAULT_SEED=<n>`.
+fn base_seed() -> u64 {
+    std::env::var("WODEX_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xC0FFEE)
+}
+
+/// Valid inputs for the mutation sweep: N-Triples lines and terms, Turtle
+/// documents and SPARQL queries, multi-byte characters next to syntax.
+const MUTATION_SEEDS: &[&str] = &[
+    "<http://e.org/café> <http://e.org/p> \"caf\\u00E9 \\\"火\\\"\"@fr .",
+    "_:b火 <http://e.org/p> \"😀\"^^<http://e.org/dt#火> . # π",
+    "\"naïve ☂\"^^<http://e.org/dt>",
+    "<http://e.org/∞>",
+    "@prefix ex: <http://e.org/> .\n@base <http://b.org/> .\n\
+     ex:café a ex:Lieu ; ex:nom \"café\"@fr, '''long\n'火' string''' ; ex:n 1.5, -2e3, 7 ;\n\
+     ex:l (1 [ ex:p <rel> ] true) . # comment π\n_:é ex:p \"\\U0001F600\"^^ex:dt .",
+    "PREFIX ex: <http://e.org/>\nSELECT ?s (COUNT(*) AS ?n) WHERE { ?s ex:café \"caf\\u00E9\"@fr ;\n\
+     ex:p 'it\\'s ☂'^^ex:dt . OPTIONAL { ?s ex:q 1.5e3 } FILTER(CONTAINS(?o, \"é\") && ?n >= -2 || \
+     !(?s != <http://e.org/π>)) } GROUP BY ?s ORDER BY DESC(?n) LIMIT 5 # 火",
+    "DESCRIBE <http://e.org/café> ex:naïve",
+];
+
+/// ROADMAP 7(c) for the text decoders: flip, cut and splice valid input —
+/// cuts fall inside multi-byte characters too — and drive every entry
+/// point of the one lexer. `Ok` or a typed error, never a panic, never an
+/// offset outside the text or inside a character.
+#[test]
+fn mutated_rdf_and_sparql_text_parses_or_fails_typed() {
+    let mut rng = wodex::synth::rng(base_seed());
+    for round in 0..20_000 {
+        let seed = MUTATION_SEEDS[round % MUTATION_SEEDS.len()].as_bytes();
+        let mut bytes = seed.to_vec();
+        for _ in 0..rng.random_range(1..=3u32) {
+            let at = rng.random_range(0..=bytes.len());
+            match rng.random_range(0..4u32) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                1 => bytes.truncate(at),
+                2 => {
+                    let other =
+                        MUTATION_SEEDS[rng.random_range(0..MUTATION_SEEDS.len())].as_bytes();
+                    let from = rng.random_range(0..other.len());
+                    let to = rng.random_range(from..=other.len());
+                    bytes.splice(at..at, other[from..to].iter().copied());
+                }
+                _ => {
+                    bytes.drain(at..rng.random_range(at..=bytes.len()));
+                }
+            }
+        }
+        // What `POST /data` and `/sparql` hand the parsers is always UTF-8.
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(term) = wodex::rdf::ntriples::parse_term(&text) {
+            let again = wodex::rdf::ntriples::parse_term(&term.to_string());
+            assert_eq!(again.as_ref(), Ok(&term), "{text:?}");
+        }
+        if let Ok(Some(triple)) = wodex::rdf::ntriples::parse_line(&text, 1) {
+            let mut line = String::new();
+            wodex::rdf::ntriples::serialize_triple(&triple, &mut line);
+            let again = wodex::rdf::ntriples::parse_line(line.trim_end(), 1);
+            assert_eq!(again, Ok(Some(triple)), "{text:?}");
+        }
+        let _ = wodex::rdf::turtle::parse(&text);
+        if let Err(e) = wodex::sparql::parse_query(&text) {
+            assert!(text.is_char_boundary(e.offset), "{text:?} → {e}");
+        }
+    }
+}
+
 #[test]
 fn insert_delete_sequences_keep_store_consistent() {
     for_each_case(11, |rng| {

@@ -461,6 +461,43 @@ fn a_write_that_is_not_utf8_is_a_400_that_commits_nothing() {
     rs.shutdown().expect("clean shutdown");
 }
 
+/// A committed non-ASCII triple is found by its literal and by its IRI,
+/// spelled plainly or with escapes, whether the query arrives as the
+/// body or percent-encoded in `?query=`.
+#[test]
+fn non_ascii_queries_find_what_was_written_by_body_and_by_query_parameter() {
+    let rs = boot(ServeConfig::default());
+    let addr = rs.addr();
+    let label = "http://www.w3.org/2000/01/rdf-schema#label";
+    let line = format!("<http://example.org/café> <{label}> \"café\"@fr .\n");
+    assert_eq!(post(addr, "/data", &line).status, 200);
+    let percent_encoded = |text: &str| -> String {
+        text.bytes()
+            .map(|b| match b {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' => (b as char).to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    };
+    for query in [
+        format!("SELECT ?s WHERE {{ ?s <{label}> \"café\"@fr }}"),
+        format!("SELECT ?s WHERE {{ ?s <{label}> 'caf\\u00E9'@fr }}"),
+        format!("SELECT ?o WHERE {{ <http://example.org/café> <{label}> ?o }}"),
+        format!("SELECT ?s WHERE {{ ?s <{label}> ?o FILTER(CONTAINS(?o, \"é\")) }}"),
+    ] {
+        let by_body = post(addr, "/sparql", &query);
+        let target = format!("/sparql?query={}", percent_encoded(&query));
+        let by_parameter = post(addr, &target, "");
+        for resp in [&by_body, &by_parameter] {
+            assert_eq!(resp.status, 200, "{query}: {}", resp.text());
+            assert_eq!(resp.header("X-Wodex-Rows"), Some("1"), "{query}");
+        }
+        assert_eq!(by_body.text(), by_parameter.text(), "{query}");
+        assert!(by_body.text().contains("caf\u{e9}"), "{}", by_body.text());
+    }
+    rs.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn sparql_streams_chunks_that_reassemble_to_the_plain_answer() {
     let cfg = ServeConfig {
