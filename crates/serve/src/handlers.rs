@@ -49,13 +49,21 @@
 //! `/viz/chart` or `/viz/recommend` that misses the view cache decodes
 //! the one property it draws (a POS range of the explorer's store; an
 //! unknown predicate reads nothing) for the call and drops it.
+//!
+//! **One connection, many requests.** [`handle`] serves a connection
+//! until a response says `Connection: close` — the client asked for it
+//! (or spoke HTTP/1.0), the request was malformed, the server is
+//! stopping, or another connection is waiting for a worker — or until
+//! the connection sits idle while its worker is needed elsewhere (see the
+//! server module docs). Handlers never see any of this: they answer
+//! through an [`Out`], which settles the header when the head is built.
 
 use crate::http::{read_request, write_response, ChunkedWriter, ParseError, Request};
-use crate::server::{wake, AppState};
-use std::io::BufReader;
+use crate::server::{hang_up, serve_metrics, wake, AppState, Conn, IdleClose, Queue};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wodex_rdf::Term;
 use wodex_sparql::results::json_string as js;
 use wodex_sparql::{Budget, Degraded, Engine, QueryResult, QueryTrace, Stage};
@@ -63,28 +71,212 @@ use wodex_sparql::{Budget, Degraded, Engine, QueryResult, QueryTrace, Stage};
 /// Entries per chunk when streaming overview rows / histogram bins.
 const STREAM_GROUP: usize = 16;
 
-/// Serves one connection: parse, route, respond, close.
-pub(crate) fn handle(state: &AppState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut out = stream;
-    match read_request(&mut reader) {
-        Ok(req) => route(state, &req, &mut out),
-        Err(ParseError::Malformed(why)) => {
-            state.counters.inc_bad_request();
-            error_json(&mut out, 400, "Bad Request", why);
-        }
-        // Peer closed early or the read timed out: nothing to answer.
-        Err(ParseError::Closed) | Err(ParseError::Io(_)) => {}
-    }
-    let _ = out.shutdown(std::net::Shutdown::Both);
+/// How long a worker waits on an idle persistent connection before it
+/// looks up to see whether it is needed elsewhere.
+const IDLE_SLICE: Duration = Duration::from_millis(2);
+
+/// Where one request's response goes: the connection, and whether it
+/// stays open afterwards.
+pub(crate) struct Out<'a> {
+    stream: &'a TcpStream,
+    state: &'a AppState,
+    queue: &'a Queue,
+    /// Until the head is built: whether the request allows the connection
+    /// to persist. From then on: whether the response promised it will.
+    keep_alive: bool,
 }
 
-fn route(state: &AppState, req: &Request, out: &mut TcpStream) {
+impl Out<'_> {
+    /// Settles the `Connection` header — as late as the head allows, so
+    /// that a connection queued while this request ran is seen: a worker
+    /// somebody is waiting for must not be promised to this client, and
+    /// nothing more starts on a server that is stopping.
+    fn settle(&mut self) -> bool {
+        self.keep_alive = self.keep_alive
+            && !self.state.shutdown.load(Ordering::SeqCst)
+            && !self.queue.backlogged();
+        self.keep_alive
+    }
+
+    /// Writes a complete fixed-length response.
+    fn respond(
+        &mut self,
+        status: u16,
+        reason: &str,
+        content_type: &str,
+        extra_headers: &[(&str, &str)],
+        body: &[u8],
+    ) {
+        let keep_alive = self.settle();
+        let _ = write_response(
+            self,
+            keep_alive,
+            status,
+            reason,
+            content_type,
+            extra_headers,
+            body,
+        );
+    }
+
+    /// Writes a `200` JSON response.
+    fn json(&mut self, body: &str) {
+        self.respond(200, "OK", "application/json", &[], body.as_bytes());
+    }
+
+    /// Starts a `200` chunked response.
+    fn chunked(
+        &mut self,
+        content_type: &str,
+        extra_headers: &[(&str, &str)],
+        trailer_names: &[&str],
+    ) -> ChunkedWriter<&mut Self> {
+        let keep_alive = self.settle();
+        ChunkedWriter::start(
+            self,
+            keep_alive,
+            200,
+            "OK",
+            content_type,
+            extra_headers,
+            trailer_names,
+        )
+    }
+}
+
+impl Out<'_> {
+    /// A response cut short leaves the connection mid-message: no other
+    /// response may follow on it.
+    fn close_on_error<T>(&mut self, written: io::Result<T>) -> io::Result<T> {
+        if written.is_err() {
+            self.keep_alive = false;
+        }
+        written
+    }
+}
+
+impl Write for Out<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.stream.write(buf);
+        self.close_on_error(written)
+    }
+
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        let written = self.stream.write_vectored(bufs);
+        self.close_on_error(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Serves one connection: parse, route, respond, and again while the
+/// response said the connection persists. Returns the queued connection
+/// this one was given up for while idle, if it was, for the worker to
+/// serve next.
+pub(crate) fn handle(state: &AppState, queue: &Queue, stream: TcpStream) -> Option<Conn> {
+    // Responses leave in whole parts, so there is nothing for Nagle to
+    // gather — and on a persistent connection a held-back segment meets
+    // the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let mut reader = BufReader::new(&stream);
+    let mut served = 0u64;
+    let mut taken = None;
+    loop {
+        if served > 0 && !next_request_arrived(state, queue, &stream, &mut reader, &mut taken) {
+            break;
+        }
+        let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
+        state.inflight.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let mut out = Out {
+            stream: &stream,
+            state,
+            queue,
+            keep_alive: false,
+        };
+        let answered = match read_request(&mut reader) {
+            Ok(req) => {
+                out.keep_alive = req.keep_alive;
+                route(state, &req, &mut out);
+                true
+            }
+            // Where the next request would start is unknowable: answer
+            // and close rather than parse a body as a request.
+            Err(ParseError::Malformed(why)) => {
+                bad_request(state, &mut out, why);
+                true
+            }
+            // Peer closed early or the read timed out: nothing to answer.
+            Err(ParseError::Closed) | Err(ParseError::Io(_)) => false,
+        };
+        state.inflight.fetch_sub(1, Ordering::Relaxed);
+        if !answered {
+            break;
+        }
+        serve_metrics()
+            .request_seconds
+            .observe(started.elapsed().as_nanos() as u64);
+        state.counters.inc_completed();
+        if served > 0 {
+            state.counters.inc_reused();
+        }
+        served += 1;
+        if !out.keep_alive {
+            break;
+        }
+    }
+    hang_up(&stream);
+    taken
+}
+
+/// Waits between two requests of a persistent connection. True once the
+/// next request's first byte is buffered; false when the connection is
+/// to be closed instead — not a byte of a request has been consumed
+/// then, so nothing the server started on is ever dropped, and the
+/// client's one reconnect finds its request unserved. `taken` receives
+/// the queued connection the idle one is closed for.
+fn next_request_arrived(
+    state: &AppState,
+    queue: &Queue,
+    stream: &TcpStream,
+    reader: &mut BufReader<&TcpStream>,
+    taken: &mut Option<Conn>,
+) -> bool {
+    if !reader.buffer().is_empty() {
+        return true; // Pipelined behind the previous request.
+    }
+    let _ = stream.set_read_timeout(Some(IDLE_SLICE));
+    let idle_since = Instant::now();
+    let reason = loop {
+        match reader.fill_buf() {
+            Ok([]) => break IdleClose::Peer,
+            Ok(_) => return true,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => break IdleClose::Peer,
+        }
+        if state.shutdown.load(Ordering::SeqCst) {
+            break IdleClose::Shutdown;
+        }
+        *taken = queue.try_take();
+        if taken.is_some() {
+            break IdleClose::Queue;
+        }
+        if idle_since.elapsed() >= state.cfg.read_timeout {
+            break IdleClose::Timeout;
+        }
+    };
+    state.counters.inc_idle_closed(reason);
+    false
+}
+
+fn route(state: &AppState, req: &Request, out: &mut Out<'_>) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state, out),
         ("GET", "/stats") => stats(state, out),
@@ -116,19 +308,12 @@ fn route(state: &AppState, req: &Request, out: &mut TcpStream) {
 }
 
 /// Writes `{"error": why}` with the given status.
-fn error_json(out: &mut TcpStream, status: u16, reason: &str, why: &str) {
+fn error_json(out: &mut Out<'_>, status: u16, reason: &str, why: &str) {
     let body = format!("{{\"error\":{}}}", js(why));
-    let _ = write_response(
-        out,
-        status,
-        reason,
-        "application/json",
-        &[],
-        body.as_bytes(),
-    );
+    out.respond(status, reason, "application/json", &[], body.as_bytes());
 }
 
-fn bad_request(state: &AppState, out: &mut TcpStream, why: &str) {
+fn bad_request(state: &AppState, out: &mut Out<'_>, why: &str) {
     state.counters.inc_bad_request();
     error_json(out, 400, "Bad Request", why);
 }
@@ -181,7 +366,7 @@ fn json_f64(v: f64) -> String {
 /// the live store's current snapshot (what `/sparql`, `POST /data`, and
 /// the subscribe feed see), reported distinctly so the counts never read
 /// as one dataset when writes have made them diverge.
-fn healthz(state: &AppState, out: &mut TcpStream) {
+fn healthz(state: &AppState, out: &mut Out<'_>) {
     let snap = state.live.snapshot();
     let body = format!(
         concat!(
@@ -193,22 +378,16 @@ fn healthz(state: &AppState, out: &mut TcpStream) {
         snap.revision(),
         state.started.elapsed().as_millis()
     );
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
 /// `GET /metrics` — the process-wide registry in Prometheus text
 /// exposition format 0.0.4. One scrape covers every layer that has run
 /// in this process (serve, exec, store, sparql, explore, retry).
-fn metrics(out: &mut TcpStream) {
+fn metrics(out: &mut Out<'_>) {
     let body = wodex_obs::render_prometheus(wodex_obs::global());
-    let _ = write_response(
-        out,
-        200,
-        "OK",
-        "text/plain; version=0.0.4; charset=utf-8",
-        &[],
-        body.as_bytes(),
-    );
+    let content_type = "text/plain; version=0.0.4; charset=utf-8";
+    out.respond(200, "OK", content_type, &[], body.as_bytes());
 }
 
 /// The `/stats` fragment describing this process's place in a shard
@@ -246,7 +425,7 @@ fn topology_json(state: &AppState) -> String {
     }
 }
 
-fn stats(state: &AppState, out: &mut TcpStream) {
+fn stats(state: &AppState, out: &mut Out<'_>) {
     let c = &state.counters;
     let s = state.sessions.stats();
     let x = wodex_exec::stats();
@@ -263,7 +442,8 @@ fn stats(state: &AppState, out: &mut TcpStream) {
         concat!(
             "{{\"requests\":{{\"accepted\":{},\"admitted\":{},\"completed\":{},",
             "\"shed_queue_full\":{},\"shed_queue_wait\":{},\"bad_requests\":{},",
-            "\"not_found\":{},\"degraded\":{},\"inflight\":{}}},",
+            "\"not_found\":{},\"degraded\":{},\"inflight\":{},\"reused\":{},",
+            "\"idle_closed\":{{{}}}}},",
             "\"sessions\":{{\"active\":{},\"opened\":{},\"evicted\":{},\"expired\":{}}},",
             "\"store\":{{\"triples\":{},\"subjects\":{},\"predicates\":{}}},",
             "\"exec\":{{\"map_calls\":{},\"map_items\":{},\"fold_calls\":{}}},",
@@ -283,6 +463,10 @@ fn stats(state: &AppState, out: &mut TcpStream) {
         load(&c.not_found),
         load(&c.degraded),
         state.inflight.load(Ordering::Relaxed),
+        load(&c.reused),
+        IdleClose::ALL
+            .map(|r| format!("\"{}\":{}", r.name(), load(&c.idle_closed[r as usize])))
+            .join(","),
         s.active,
         s.opened,
         s.evicted,
@@ -312,7 +496,7 @@ fn stats(state: &AppState, out: &mut TcpStream) {
         topology_json(state),
         state.started.elapsed().as_millis()
     );
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
 /// `POST /sparql` — evaluates the body (or `query` parameter) under the
@@ -331,7 +515,7 @@ fn stats(state: &AppState, out: &mut TcpStream) {
 /// Outside coordinator mode the query runs against the live store's
 /// current MVCC snapshot; the `X-Wodex-Revision` response header names
 /// the revision the answer is pinned to.
-fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn sparql(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let text = if req.body.is_empty() {
         req.param("query").unwrap_or("")
     } else {
@@ -419,16 +603,7 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
     if shard_wire.is_some() {
         trailers.push("X-Wodex-Shards");
     }
-    let Ok(mut cw) = ChunkedWriter::start(
-        &mut *out,
-        200,
-        "OK",
-        "application/json",
-        &headers,
-        &trailers,
-    ) else {
-        return;
-    };
+    let mut cw = out.chunked("application/json", &headers, &trailers);
     let serialize_span = trace.span(Stage::Serialize);
     let rows_sent: usize;
     let write_ok = match &result {
@@ -461,7 +636,7 @@ fn sparql(state: &AppState, req: &Request, out: &mut TcpStream) {
 
 /// Streams a solution table as head / row-group / tail chunks.
 fn stream_table(
-    cw: &mut ChunkedWriter<&mut TcpStream>,
+    cw: &mut ChunkedWriter<&mut Out<'_>>,
     t: &wodex_sparql::SolutionTable,
     group: usize,
 ) -> std::io::Result<()> {
@@ -489,7 +664,7 @@ fn stream_table(
 /// triple or deleting an absent one counts zero). A batch with no
 /// effective change publishes nothing and answers with the unchanged
 /// head revision.
-fn data_commit(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn data_commit(state: &AppState, req: &Request, out: &mut Out<'_>) {
     // Lossy decoding would commit U+FFFD where the client sent something
     // else; a body that is not UTF-8 is not N-Triples.
     let text = match std::str::from_utf8(&req.body) {
@@ -535,7 +710,7 @@ fn data_commit(state: &AppState, req: &Request, out: &mut TcpStream) {
                 outcome.frame.inserts.len(),
                 outcome.frame.deletes.len()
             );
-            let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+            out.json(&body);
         }
         // A write-ahead failure aborts the commit with the snapshot
         // unchanged; surface it as a server error, not a bad request.
@@ -553,7 +728,7 @@ fn data_commit(state: &AppState, req: &Request, out: &mut TcpStream) {
 /// `since` runs ahead of the head, as happens to a cursor held across
 /// a server restart — `"resync":true` tells the subscriber to refetch
 /// from a fresh snapshot instead of applying frames.
-fn explore_subscribe(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_subscribe(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let since = match req.param("since").map(str::parse::<u64>) {
         None => 0,
         Some(Ok(r)) => r,
@@ -585,10 +760,7 @@ fn explore_subscribe(state: &AppState, req: &Request, out: &mut TcpStream) {
             .collect::<Vec<_>>()
             .join(",")
     };
-    let Ok(mut cw) = ChunkedWriter::start(&mut *out, 200, "OK", "application/json", &[], &[])
-    else {
-        return;
-    };
+    let mut cw = out.chunked("application/json", &[], &[]);
     let _ = cw.chunk(
         format!(
             "{{\"revision\":{},\"resync\":{},\"frames\":[",
@@ -616,17 +788,17 @@ fn explore_subscribe(state: &AppState, req: &Request, out: &mut TcpStream) {
     }
 }
 
-fn explore_open(state: &AppState, out: &mut TcpStream) {
+fn explore_open(state: &AppState, out: &mut Out<'_>) {
     let token = state.sessions.open();
     let body = format!("{{\"session\":{}}}", js(&token));
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
 /// Resolves the `session` parameter, answering 400/404 on failure.
 fn with_session<R>(
     state: &AppState,
     req: &Request,
-    out: &mut TcpStream,
+    out: &mut Out<'_>,
     f: impl FnOnce(&mut wodex_explore::ExplorationSession) -> R,
 ) -> Option<R> {
     let Some(token) = req.param("session") else {
@@ -645,14 +817,11 @@ fn with_session<R>(
 
 /// `GET /explore/overview` — class sizes, streamed progressively so the
 /// first classes render before the tail of a wide ontology arrives.
-fn explore_overview(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_overview(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(overview) = with_session(state, req, out, |s| s.overview()) else {
         return;
     };
-    let Ok(mut cw) = ChunkedWriter::start(&mut *out, 200, "OK", "application/json", &[], &[])
-    else {
-        return;
-    };
+    let mut cw = out.chunked("application/json", &[], &[]);
     let _ = cw.chunk(b"{\"classes\":[");
     let mut buf = String::new();
     let mut ok = true;
@@ -675,7 +844,7 @@ fn explore_overview(state: &AppState, req: &Request, out: &mut TcpStream) {
     }
 }
 
-fn explore_facets(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_facets(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(body) = with_session(state, req, out, |s| {
         let mut parts = Vec::new();
         for f in s.facets().facets() {
@@ -689,7 +858,7 @@ fn explore_facets(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
 /// The `{matching, operations}` summary every mutating session op returns.
@@ -701,7 +870,7 @@ fn session_summary(s: &mut wodex_explore::ExplorationSession) -> String {
     )
 }
 
-fn explore_filter(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_filter(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let (Some(predicate), Some(value)) = (req.param("predicate"), req.param("value")) else {
         bad_request(state, out, "need predicate and value parameters");
         return;
@@ -713,10 +882,10 @@ fn explore_filter(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-fn explore_zoom(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_zoom(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let (Some(predicate), Some(lo), Some(hi)) = (
         req.param("predicate"),
         req.param("lo").and_then(|v| v.parse::<f64>().ok()),
@@ -732,10 +901,10 @@ fn explore_zoom(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-fn explore_search(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_search(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(q) = req.param("q") else {
         bad_request(state, out, "need a q parameter");
         return;
@@ -747,10 +916,10 @@ fn explore_search(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-fn explore_hits(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_hits(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(q) = req.param("q") else {
         bad_request(state, out, "need a q parameter");
         return;
@@ -774,10 +943,10 @@ fn explore_hits(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-fn explore_details(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_details(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(iri) = req.param("iri") else {
         bad_request(state, out, "need an iri parameter");
         return;
@@ -803,10 +972,10 @@ fn explore_details(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-fn explore_undo(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_undo(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(body) = with_session(state, req, out, |s| {
         let undone = s.undo().map(|op| op.to_string());
         format!(
@@ -817,17 +986,17 @@ fn explore_undo(state: &AppState, req: &Request, out: &mut TcpStream) {
     }) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-fn explore_trace(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn explore_trace(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(body) = with_session(state, req, out, |s| s.trace()) else {
         return;
     };
-    let _ = write_response(out, 200, "OK", "text/plain", &[], body.as_bytes());
+    out.respond(200, "OK", "text/plain", &[], body.as_bytes());
 }
 
-fn viz_recommend(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn viz_recommend(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(predicate) = req.param("predicate") else {
         bad_request(state, out, "need a predicate parameter");
         return;
@@ -845,14 +1014,14 @@ fn viz_recommend(state: &AppState, req: &Request, out: &mut TcpStream) {
         ));
     }
     let body = format!("{{\"recommendations\":[{}]}}", parts.join(","));
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
 /// `GET /viz/chart` — the LDVM pipeline under the request budget,
 /// behind the explorer's single-flight view cache (a cached chart costs
 /// no budget); the degradation verdict rides a response header (it is
 /// known before the SVG is written).
-fn viz_chart(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn viz_chart(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(predicate) = req.param("predicate") else {
         bad_request(state, out, "need a predicate parameter");
         return;
@@ -863,17 +1032,11 @@ fn viz_chart(state: &AppState, req: &Request, out: &mut TcpStream) {
         state.counters.inc_degraded();
     }
     let verdict = degraded_trailer(&degraded);
-    let _ = write_response(
-        out,
-        200,
-        "OK",
-        "image/svg+xml",
-        &[
-            ("X-Wodex-Degraded", verdict.as_str()),
-            ("X-Wodex-Chart", view.kind.name()),
-        ],
-        view.svg.as_bytes(),
-    );
+    let headers = [
+        ("X-Wodex-Degraded", verdict.as_str()),
+        ("X-Wodex-Chart", view.kind.name()),
+    ];
+    out.respond(200, "OK", "image/svg+xml", &headers, view.svg.as_bytes());
 }
 
 /// `GET /viz/hist` — histogram bins, streamed as they are serialized.
@@ -882,7 +1045,7 @@ fn viz_chart(state: &AppState, req: &Request, out: &mut TcpStream) {
 /// when the budget cannot afford every row the histogram is built from an
 /// evenly spaced sample of the column and the trailer reports the
 /// coverage.
-fn viz_hist(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn viz_hist(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let Some(predicate) = req.param("predicate") else {
         bad_request(state, out, "need a predicate parameter");
         return;
@@ -911,10 +1074,7 @@ fn viz_hist(state: &AppState, req: &Request, out: &mut TcpStream) {
         wodex_approx::binning::BinningStrategy::EqualWidth,
     );
     let trailers = ["X-Wodex-Degraded", "X-Wodex-Rows"];
-    let Ok(mut cw) = ChunkedWriter::start(&mut *out, 200, "OK", "application/json", &[], &trailers)
-    else {
-        return;
-    };
+    let mut cw = out.chunked("application/json", &[], &trailers);
     let _ = cw.chunk(format!("{{\"predicate\":{},\"bins\":[", js(predicate)).as_bytes());
     let mut buf = String::new();
     let mut ok = true;
@@ -958,7 +1118,7 @@ fn viz_hist(state: &AppState, req: &Request, out: &mut TcpStream) {
 /// count in trailers — the same sound-partial contract as `/sparql`,
 /// one layer down. The coordinator's [`wodex_shard::ShardClient`] is
 /// the intended caller, but the endpoint is plain HTTP.
-fn shard_scan(state: &AppState, req: &Request, out: &mut TcpStream) {
+fn shard_scan(state: &AppState, req: &Request, out: &mut Out<'_>) {
     let term = |name: &str| -> Result<Option<Term>, String> {
         match req.param(name) {
             None | Some("") => Ok(None),
@@ -984,16 +1144,7 @@ fn shard_scan(state: &AppState, req: &Request, out: &mut TcpStream) {
     let store = state.explorer.store();
     let pat = store.encode_pattern(s.as_ref(), p.as_ref(), o.as_ref());
     let trailers = ["X-Wodex-Degraded", "X-Wodex-Rows"];
-    let Ok(mut cw) = ChunkedWriter::start(
-        &mut *out,
-        200,
-        "OK",
-        "application/n-triples",
-        &[],
-        &trailers,
-    ) else {
-        return;
-    };
+    let mut cw = out.chunked("application/n-triples", &[], &trailers);
     let mut sent = 0usize;
     let mut tripped = None;
     let mut buf = String::new();
@@ -1047,7 +1198,7 @@ fn shard_scan(state: &AppState, req: &Request, out: &mut TcpStream) {
 
 /// `GET /shard/health` — worker-mode placement and size, for fleet
 /// bring-up checks (`"shard":null` when not running as a shard).
-fn shard_health(state: &AppState, out: &mut TcpStream) {
+fn shard_health(state: &AppState, out: &mut Out<'_>) {
     let placement = match state.cfg.shard {
         Some((k, n)) => format!("{{\"index\":{k},\"of\":{n}}}"),
         None => "null".to_string(),
@@ -1056,15 +1207,16 @@ fn shard_health(state: &AppState, out: &mut TcpStream) {
         "{{\"shard\":{placement},\"triples\":{}}}",
         state.explorer.store().len()
     );
-    let _ = write_response(out, 200, "OK", "application/json", &[], body.as_bytes());
+    out.json(&body);
 }
 
-/// `POST /admin/shutdown` — acknowledges, then flags the accept loop and
-/// wakes it. In-flight and queued requests still complete (the worker
-/// pool drains before `Server::run` returns).
-fn admin_shutdown(state: &AppState, out: &mut TcpStream) {
-    let body = b"{\"status\":\"shutting down\"}";
-    let _ = write_response(out, 200, "OK", "application/json", &[], body);
+/// `POST /admin/shutdown` — flags the accept loop, acknowledges (the
+/// flag makes this and every later response say `Connection: close`),
+/// then wakes the loop. In-flight and queued requests still complete and
+/// idle persistent connections are closed (the worker pool drains before
+/// `Server::run` returns).
+fn admin_shutdown(state: &AppState, out: &mut Out<'_>) {
     state.shutdown.store(true, Ordering::SeqCst);
+    out.json("{\"status\":\"shutting down\"}");
     wake(state.local_addr);
 }

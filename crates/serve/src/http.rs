@@ -3,12 +3,23 @@
 //!
 //! The parser accepts exactly what the serving layer needs: a request
 //! line, headers, and an optional `Content-Length` body, all under hard
-//! size limits so a hostile peer cannot make a worker allocate without
-//! bound. Responses always carry `Connection: close`; one connection is
-//! one request, which keeps the admission-control accounting exact (an
-//! admitted connection is one unit of work).
+//! size limits enforced *while* reading, so a hostile peer cannot make a
+//! worker allocate without bound. Connections are persistent: a parsed
+//! request leaves the reader at the first byte of the next one, and
+//! anything that would make that position ambiguous (a
+//! `Transfer-Encoding` request body, conflicting lengths, any malformed
+//! head) is a [`ParseError::Malformed`] the caller answers with 400 and
+//! closes on — it never tries to resynchronise.
+//!
+//! Every response says `Connection: keep-alive` or `close` as its caller
+//! decides, and reaches the socket in as few writes as its framing
+//! allows: a fixed response is one gather write (head and body
+//! together), a chunked one is one write per chunk with the head riding
+//! the first and the trailers riding the terminal chunk. A head flushed
+//! on its own would be a segment of its own on a `TCP_NODELAY` socket and
+//! a Nagle/delayed-ACK stall on any other.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 /// Hard cap on the request line plus all headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -28,6 +39,9 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The body (empty unless `Content-Length` was present).
     pub body: Vec<u8>,
+    /// Whether the client allows the connection to outlive this request:
+    /// HTTP/1.1 without a `close` token in its `Connection` header.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -124,25 +138,42 @@ fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
     (percent_decode(path, false), params)
 }
 
-/// Reads one request from `reader`.
+/// Reads one line of the head into `line` — whole, or empty at end of
+/// stream — never buffering past the head cap: a peer that streams bytes
+/// without a newline is cut off at `MAX_HEAD_BYTES`, not at the end of
+/// its stream.
+fn read_head_line<'a>(
+    reader: &mut impl BufRead,
+    line: &'a mut Vec<u8>,
+    head_bytes: &mut usize,
+) -> Result<&'a str, ParseError> {
+    line.clear();
+    let room = (MAX_HEAD_BYTES - *head_bytes) as u64 + 1;
+    *head_bytes += (&mut *reader).take(room).read_until(b'\n', line)?;
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(ParseError::Malformed("request head too large"));
+    }
+    if !line.is_empty() && !line.ends_with(b"\n") {
+        return Err(ParseError::Malformed("eof inside request head"));
+    }
+    std::str::from_utf8(line).map_err(|_| ParseError::Malformed("request head is not UTF-8"))
+}
+
+/// Reads one request from `reader`, leaving it at the first byte after
+/// the request (the next request's, on a persistent connection).
 ///
 /// Blocks until a full head (and body, if declared) arrives, the
 /// configured socket timeout fires, or a size limit trips.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     let mut head_bytes = 0usize;
-    let mut line = String::new();
+    let mut line = Vec::new();
     // Request line; skip leading blank lines per RFC 9112 §2.2.
     let request_line = loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        let text = read_head_line(reader, &mut line, &mut head_bytes)?;
+        if text.is_empty() {
             return Err(ParseError::Closed);
         }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ParseError::Malformed("request head too large"));
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
+        let trimmed = text.trim_end_matches(['\r', '\n']);
         if !trimmed.is_empty() {
             break trimmed.to_string();
         }
@@ -155,41 +186,62 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     if !version.starts_with("HTTP/1.") {
         return Err(ParseError::Malformed("unsupported HTTP version"));
     }
-    // Headers.
+    // Headers. The two that frame the body are checked as they pass: a
+    // request whose end is ambiguous must not be followed by another.
     let mut headers = Vec::new();
+    let mut content_length = None;
+    let mut keep_alive = version == "HTTP/1.1";
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        let text = read_head_line(reader, &mut line, &mut head_bytes)?;
+        if text.is_empty() {
             return Err(ParseError::Malformed("eof inside headers"));
         }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ParseError::Malformed("request head too large"));
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
+        let trimmed = text.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
         }
         let Some((name, value)) = trimmed.split_once(':') else {
             return Err(ParseError::Malformed("bad header line"));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+        match name.as_str() {
+            "transfer-encoding" => {
+                return Err(ParseError::Malformed(
+                    "transfer-encoding request bodies are not supported; send content-length",
+                ));
+            }
+            "content-length" => {
+                // Digits only: `parse` alone would take a leading `+`.
+                let len = Some(value)
+                    .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .ok_or(ParseError::Malformed("bad content-length"))?;
+                if content_length.is_some_and(|seen| seen != len) {
+                    return Err(ParseError::Malformed("conflicting content-length headers"));
+                }
+                content_length = Some(len);
+            }
+            "connection"
+                if value
+                    .split(',')
+                    .any(|t| t.trim().eq_ignore_ascii_case("close")) =>
+            {
+                keep_alive = false;
+            }
+            _ => {}
+        }
+        headers.push((name, value.to_string()));
     }
     // Body.
-    let mut body = Vec::new();
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>());
-    if let Some(parsed) = content_length {
-        let len = parsed.map_err(|_| ParseError::Malformed("bad content-length"))?;
-        if len > MAX_BODY_BYTES {
-            return Err(ParseError::Malformed("body too large"));
-        }
-        body.resize(len, 0);
-        reader.read_exact(&mut body)?;
+    let len = content_length.unwrap_or(0);
+    if len > MAX_BODY_BYTES {
+        return Err(ParseError::Malformed("body too large"));
     }
+    let mut body = vec![0; len];
+    reader.read_exact(&mut body).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => ParseError::Malformed("eof inside body"),
+        _ => ParseError::Io(e),
+    })?;
     let (path, query) = parse_target(target);
     Ok(Request {
         method: method.to_ascii_uppercase(),
@@ -197,86 +249,135 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
         query,
         headers,
         body,
+        keep_alive,
     })
 }
 
-/// Writes a complete non-chunked response and flushes it.
+/// The status line and headers shared by both framings, without the
+/// blank line. `framing` is the `Content-Length` or `Transfer-Encoding`
+/// header line.
+fn response_head(
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    framing: std::fmt::Arguments<'_>,
+    keep_alive: bool,
+    extra_headers: &[(&str, &str)],
+) -> String {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n{framing}\r\nConnection: {connection}\r\n"
+    );
+    for (k, v) in extra_headers {
+        head.extend([k, ": ", v, "\r\n"]);
+    }
+    head
+}
+
+/// Writes a complete non-chunked response — head and body in one gather
+/// write, so a large body (a 2 MB chart) is not copied in behind its head.
 pub fn write_response(
     w: &mut impl Write,
+    keep_alive: bool,
     status: u16,
     reason: &str,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    )?;
-    for (k, v) in extra_headers {
-        write!(w, "{k}: {v}\r\n")?;
+    let mut head = response_head(
+        status,
+        reason,
+        content_type,
+        format_args!("Content-Length: {}", body.len()),
+        keep_alive,
+        extra_headers,
+    );
+    head.push_str("\r\n");
+    // `write_all_vectored`, which is not stable yet.
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
     w.flush()
 }
 
 /// A chunked-transfer response in progress.
 ///
-/// Every [`ChunkedWriter::chunk`] call flushes one HTTP chunk to the
-/// socket, so the client sees bytes while the server is still producing
-/// later chunks — the progressive-delivery behaviour §2 of the survey
-/// asks of exploratory interfaces. Trailers declared at construction are
-/// sent after the terminal chunk; the serving layer uses them to attach
-/// degradation metadata that is only known once streaming ends.
+/// Every [`ChunkedWriter::chunk`] call puts one HTTP chunk on the socket
+/// before it returns, so the client sees bytes while the server is still
+/// producing later chunks — the progressive-delivery behaviour §2 of the
+/// survey asks of exploratory interfaces. Trailers declared at
+/// construction are sent with the terminal chunk; the serving layer uses
+/// them to attach degradation metadata that is only known once streaming
+/// ends.
 pub struct ChunkedWriter<W: Write> {
     w: W,
+    /// What the next write carries: the head until the first chunk (or
+    /// [`ChunkedWriter::finish`]) takes it along, then one chunk at a
+    /// time. Reused across chunks.
+    buf: Vec<u8>,
     chunks_written: u64,
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Writes the status line and headers, declaring chunked encoding
+    /// Assembles the status line and headers, declaring chunked encoding
     /// and the trailer names that [`ChunkedWriter::finish`] may send.
     /// `extra_headers` are emitted before the blank line — metadata
     /// known *before* streaming starts (trailers carry what is only
-    /// known after).
+    /// known after). Nothing is written yet: the head leaves with the
+    /// first chunk.
     pub fn start(
-        mut w: W,
+        w: W,
+        keep_alive: bool,
         status: u16,
         reason: &str,
         content_type: &str,
         extra_headers: &[(&str, &str)],
         trailer_names: &[&str],
-    ) -> io::Result<ChunkedWriter<W>> {
-        write!(
-            w,
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n"
-        )?;
-        for (k, v) in extra_headers {
-            write!(w, "{k}: {v}\r\n")?;
-        }
+    ) -> ChunkedWriter<W> {
+        let mut head = response_head(
+            status,
+            reason,
+            content_type,
+            format_args!("Transfer-Encoding: chunked"),
+            keep_alive,
+            extra_headers,
+        );
         if !trailer_names.is_empty() {
-            write!(w, "Trailer: {}\r\n", trailer_names.join(", "))?;
+            head.extend(["Trailer: ", &trailer_names.join(", "), "\r\n"]);
         }
-        w.write_all(b"\r\n")?;
-        w.flush()?;
-        Ok(ChunkedWriter {
+        head.push_str("\r\n");
+        ChunkedWriter {
             w,
+            buf: head.into_bytes(),
             chunks_written: 0,
-        })
+        }
     }
 
-    /// Emits one chunk and flushes it to the socket. Empty input is
-    /// skipped (a zero-length chunk would terminate the stream).
+    /// Hands the assembled bytes to the socket in one write.
+    fn send(&mut self) -> io::Result<()> {
+        let sent = self.w.write_all(&self.buf).and_then(|()| self.w.flush());
+        self.buf.clear();
+        sent
+    }
+
+    /// Emits one chunk; it is on the socket when this returns. Empty
+    /// input is skipped (a zero-length chunk would terminate the stream).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()?;
+        write!(self.buf, "{:x}\r\n", data.len())?;
+        self.buf.extend_from_slice(data);
+        self.buf.extend_from_slice(b"\r\n");
+        self.send()?;
         self.chunks_written += 1;
         Ok(())
     }
@@ -286,14 +387,14 @@ impl<W: Write> ChunkedWriter<W> {
         self.chunks_written
     }
 
-    /// Terminates the stream, emitting `trailers` after the final chunk.
+    /// Terminates the stream: the final chunk and `trailers`, one write.
     pub fn finish(mut self, trailers: &[(&str, String)]) -> io::Result<()> {
-        self.w.write_all(b"0\r\n")?;
+        self.buf.extend_from_slice(b"0\r\n");
         for (k, v) in trailers {
-            write!(self.w, "{k}: {v}\r\n")?;
+            write!(self.buf, "{k}: {v}\r\n")?;
         }
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()
+        self.buf.extend_from_slice(b"\r\n");
+        self.send()
     }
 }
 
@@ -349,41 +450,169 @@ mod tests {
         assert_eq!(percent_decode("a+b", false), "a+b");
     }
 
-    #[test]
-    fn simple_response_has_length_and_close() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "text/plain", &[("X-A", "1")], b"hi").unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(s.contains("Content-Length: 2\r\n"));
-        assert!(s.contains("Connection: close\r\n"));
-        assert!(s.contains("X-A: 1\r\n"));
-        assert!(s.ends_with("\r\n\r\nhi"));
+    /// A `Write` that records what each `write` call carried.
+    #[derive(Default)]
+    struct Wire {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.write(
+                &bufs
+                    .iter()
+                    .flat_map(|b| b.iter().copied())
+                    .collect::<Vec<u8>>(),
+            )
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Wire {
+        fn text(&self) -> String {
+            String::from_utf8(self.writes.concat()).unwrap()
+        }
     }
 
     #[test]
-    fn chunked_stream_with_trailers() {
-        let mut out = Vec::new();
+    fn framing_that_would_desynchronise_a_persistent_connection_is_malformed() {
+        for raw in [
+            &b"POST /sparql HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                [..],
+            b"POST /sparql HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+            b"POST /sparql HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+            b"POST /sparql HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"POST /sparql HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+            b"POST /sparql HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+            b"POST /sparql HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+            b"POST /sparql HTTP/1.1\r\nContent-Length: 9\r\n\r\nhello",
+            b"GET /\xff HTTP/1.1\r\n\r\n",
+        ] {
+            assert!(
+                matches!(
+                    read_request(&mut BufReader::new(raw)),
+                    Err(ParseError::Malformed(_))
+                ),
+                "{}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+        // The same length twice is one length.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi";
+        assert_eq!(
+            read_request(&mut BufReader::new(&raw[..])).unwrap().body,
+            b"hi"
+        );
+    }
+
+    #[test]
+    fn a_head_without_a_newline_is_cut_off_at_the_cap_not_at_its_end() {
+        // An endless line: the parser must give up after the head cap.
+        let mut endless = BufReader::new(io::repeat(b'a'));
+        assert!(matches!(
+            read_request(&mut endless),
+            Err(ParseError::Malformed("request head too large"))
+        ));
+    }
+
+    #[test]
+    fn requests_parse_back_to_back_and_say_whether_they_persist() {
+        let raw = b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET /b HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n\r\nGET /c HTTP/1.0\r\n\r\n";
+        let mut reader = BufReader::new(&raw[..]);
+        let a = read_request(&mut reader).unwrap();
+        assert_eq!((a.path.as_str(), a.body.as_slice()), ("/a", &b"abc"[..]));
+        assert!(a.keep_alive, "HTTP/1.1 persists by default");
+        let b = read_request(&mut reader).unwrap();
+        assert_eq!(b.path, "/b");
+        assert!(!b.keep_alive, "a close token among others");
+        let c = read_request(&mut reader).unwrap();
+        assert_eq!(c.path, "/c");
+        assert!(!c.keep_alive, "HTTP/1.0");
+        assert!(matches!(read_request(&mut reader), Err(ParseError::Closed)));
+    }
+
+    #[test]
+    fn a_fixed_response_is_one_write_and_says_keep_alive_or_close() {
+        for (keep_alive, connection) in [(true, "keep-alive"), (false, "close")] {
+            let mut out = Wire::default();
+            let headers = [("X-A", "1")];
+            write_response(
+                &mut out,
+                keep_alive,
+                200,
+                "OK",
+                "text/plain",
+                &headers,
+                b"hi",
+            )
+            .unwrap();
+            assert_eq!(out.writes.len(), 1, "head and body leave together");
+            assert_eq!(
+                out.text(),
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\
+                     Connection: {connection}\r\nX-A: 1\r\n\r\nhi"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn chunked_stream_with_trailers_is_one_write_per_chunk() {
+        let mut out = Wire::default();
         let mut cw = ChunkedWriter::start(
             &mut out,
+            true,
             200,
             "OK",
             "application/json",
             &[("X-Extra", "e1")],
             &["X-Degraded"],
-        )
-        .unwrap();
+        );
         cw.chunk(b"abc").unwrap();
         cw.chunk(b"").unwrap(); // skipped, must not terminate
         cw.chunk(b"defgh").unwrap();
         assert_eq!(cw.chunks_written(), 2);
         cw.finish(&[("X-Degraded", "none".to_string())]).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("Transfer-Encoding: chunked"));
+        // Two chunks and the terminal one: the head rode the first, the
+        // trailers the last, and each chunk was whole when it left.
+        assert_eq!(out.writes.len(), 3);
+        let first = String::from_utf8(out.writes[0].clone()).unwrap();
+        assert!(first.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(first.ends_with("\r\n\r\n3\r\nabc\r\n"), "{first:?}");
+        assert_eq!(out.writes[1], b"5\r\ndefgh\r\n");
+        assert_eq!(out.writes[2], b"0\r\nX-Degraded: none\r\n\r\n");
+        let s = out.text();
+        assert!(s.contains("Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n"));
         assert!(s.contains("X-Extra: e1\r\n"));
-        assert!(s.contains("Trailer: X-Degraded"));
-        assert!(s.contains("3\r\nabc\r\n"));
-        assert!(s.contains("5\r\ndefgh\r\n"));
-        assert!(s.ends_with("0\r\nX-Degraded: none\r\n\r\n"));
+        assert!(s.contains("Trailer: X-Degraded\r\n\r\n"));
+    }
+
+    #[test]
+    fn a_chunked_response_without_chunks_sends_its_head_with_the_terminator() {
+        let mut out = Wire::default();
+        drop(ChunkedWriter::start(
+            &mut out,
+            false,
+            200,
+            "OK",
+            "text/plain",
+            &[],
+            &[],
+        ));
+        assert!(out.writes.is_empty(), "the head is never flushed alone");
+        ChunkedWriter::start(&mut out, false, 200, "OK", "text/plain", &[], &[])
+            .finish(&[])
+            .unwrap();
+        assert_eq!(out.writes.len(), 1);
+        assert!(out.text().ends_with("Connection: close\r\n\r\n0\r\n\r\n"));
     }
 }

@@ -7,10 +7,29 @@
 //! queue: its capacity is the only place a waiting connection can exist,
 //! so memory under overload is bounded by construction.
 //!
+//! ## Persistent connections
+//!
+//! A worker serves a connection request after request (HTTP/1.1
+//! keep-alive; the loop is `handlers::handle`), so a chain of dependent
+//! clicks pays accept, queue hand-off and connect once. The pool stays
+//! bounded because a worker only ever *lends* itself to an idle
+//! connection: between requests it waits in 2 ms slices, and lets go —
+//! closing the connection before a byte of a next request has been read
+//! — as soon as it can take a connection off the queue itself
+//! (`Queue::try_take`: never one that a free worker is there to receive,
+//! so one queued connection costs exactly one idle one), the server is
+//! stopping, or `read_timeout` has passed idle. A response written while
+//! the queue is backlogged (`Queue::backlogged`: more connections wait
+//! than free workers are there for) already says `Connection: close`.
+//! With more clients than workers every response therefore closes and
+//! the server behaves as one request per connection; a queued connection
+//! never waits on an idle one for longer than a slice.
+//!
 //! ## Admission control
 //!
-//! Two gates, both of which shed with `503 Service Unavailable` +
-//! `Retry-After` instead of queueing without bound:
+//! Admission is per *connection*, at its first request. Two gates, both
+//! of which shed with `503 Service Unavailable` + `Retry-After` instead
+//! of queueing without bound:
 //!
 //! 1. **Queue depth** — the accept thread `try_send`s each connection;
 //!    a full queue means every worker is busy and the backlog is at
@@ -24,12 +43,21 @@
 //! Admitted requests then run under a `wodex_resilience::Budget`
 //! (deadline + row cap), so one expensive query degrades to a partial
 //! answer rather than occupying a worker indefinitely.
+//!
+//! ## Accounting
+//!
+//! Counters that describe admission count connections (`accepted`,
+//! `admitted`, `shed_*`, the queue-wait histogram) and conserve as
+//! `admitted + shed == accepted`; counters that describe work count
+//! requests (`completed`/`served`, `request_seconds`, `inflight`,
+//! `bad_requests`, `reused`), and `served` equals the responses clients
+//! read from admitted connections.
 
 use crate::handlers;
 use crate::sessions::SessionManager;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 use wodex_core::Explorer;
 use wodex_exec::channel::{self, TrySendError};
@@ -50,6 +78,8 @@ pub(crate) struct ServeMetrics {
     pub(crate) bad_requests: Arc<Counter>,
     pub(crate) not_found: Arc<Counter>,
     pub(crate) degraded: Arc<Counter>,
+    pub(crate) reused: Arc<Counter>,
+    pub(crate) idle_closed: [Arc<Counter>; 4],
     pub(crate) queue_wait: Arc<Histogram>,
     pub(crate) request_seconds: Arc<Histogram>,
 }
@@ -92,6 +122,17 @@ pub(crate) fn serve_metrics() -> &'static ServeMetrics {
                 "wodex_serve_degraded_total",
                 "Responses whose budget tripped (partial answers)",
             ),
+            reused: r.counter(
+                "wodex_serve_requests_reused_total",
+                "Requests served on a connection that had already served one",
+            ),
+            idle_closed: IdleClose::ALL.map(|reason| {
+                r.counter_with(
+                    "wodex_serve_idle_closed_total",
+                    "Persistent connections closed while idle between requests",
+                    &[("reason", reason.name())],
+                )
+            }),
             queue_wait: r.duration_histogram(
                 "wodex_serve_queue_wait_seconds",
                 "Time an admitted connection waited for a worker",
@@ -99,7 +140,7 @@ pub(crate) fn serve_metrics() -> &'static ServeMetrics {
             ),
             request_seconds: r.duration_histogram(
                 "wodex_serve_request_seconds",
-                "Wall time serving one admitted request",
+                "Wall time reading, serving and answering one request",
                 &[],
             ),
         }
@@ -127,7 +168,8 @@ pub struct ServeConfig {
     pub session_capacity: usize,
     /// Session idle expiry.
     pub session_ttl: Duration,
-    /// Socket read timeout (slow/idle clients release workers after this).
+    /// Socket read timeout: a slow client mid-request, or a persistent
+    /// connection idle between requests, releases its worker after this.
     pub read_timeout: Duration,
     /// Solution rows per streamed chunk on `/sparql`.
     pub stream_rows: usize,
@@ -171,6 +213,40 @@ impl ServeConfig {
     }
 }
 
+/// Why a worker closed a persistent connection that was idle between
+/// requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdleClose {
+    /// A connection was waiting in the admission queue for a worker.
+    Queue,
+    /// `read_timeout` passed without a next request.
+    Timeout,
+    /// The server is stopping.
+    Shutdown,
+    /// The client closed (or the socket failed) first.
+    Peer,
+}
+
+impl IdleClose {
+    /// Every reason, in the order of [`Counters::idle_closed`].
+    pub const ALL: [IdleClose; 4] = [
+        IdleClose::Queue,
+        IdleClose::Timeout,
+        IdleClose::Shutdown,
+        IdleClose::Peer,
+    ];
+
+    /// The `reason` label on `/metrics`, the key in `/stats`.
+    pub fn name(self) -> &'static str {
+        match self {
+            IdleClose::Queue => "queue",
+            IdleClose::Timeout => "timeout",
+            IdleClose::Shutdown => "shutdown",
+            IdleClose::Peer => "peer",
+        }
+    }
+}
+
 /// Monotonic request counters (all relaxed atomics; exact enough for
 /// operational visibility, free of locks on the hot path).
 #[derive(Debug, Default)]
@@ -193,6 +269,10 @@ pub struct Counters {
     pub not_found: AtomicU64,
     /// Responses whose budget tripped (partial/degraded answers).
     pub degraded: AtomicU64,
+    /// Requests served on a connection that had already served one.
+    pub reused: AtomicU64,
+    /// Idle persistent connections closed, by [`IdleClose`] reason.
+    pub idle_closed: [AtomicU64; 4],
 }
 
 impl Counters {
@@ -250,6 +330,16 @@ impl Counters {
     pub(crate) fn inc_degraded(&self) {
         self.degraded.fetch_add(1, Ordering::Relaxed);
         serve_metrics().degraded.inc();
+    }
+
+    pub(crate) fn inc_reused(&self) {
+        self.reused.fetch_add(1, Ordering::Relaxed);
+        serve_metrics().reused.inc();
+    }
+
+    pub(crate) fn inc_idle_closed(&self, reason: IdleClose) {
+        self.idle_closed[reason as usize].fetch_add(1, Ordering::Relaxed);
+        serve_metrics().idle_closed[reason as usize].inc();
     }
 }
 
@@ -314,9 +404,63 @@ pub struct Server {
 }
 
 /// One unit of queued work: an accepted connection plus its enqueue time.
-struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     enqueued: Instant,
+}
+
+/// The workers' end of the admission queue.
+///
+/// Besides the channel it counts both sides of the hand-off, so that a
+/// worker serving a connection can tell whether a queued connection
+/// needs *it* or is about to be received by a free worker anyway. Both
+/// counts publish nothing (the connection travels through the channel)
+/// and are relaxed; read `free` first and a race can only under-report
+/// the backlog, which the next idle slice corrects.
+pub(crate) struct Queue {
+    rx: Mutex<channel::Receiver<Conn>>,
+    /// Connections sent and not yet received.
+    waiting: AtomicUsize,
+    /// Workers not serving a connection: in [`Queue::take`], or on their
+    /// way into it.
+    free: AtomicUsize,
+}
+
+impl Queue {
+    /// Blocks until a connection is queued; `None` once the accept loop
+    /// is gone.
+    fn take(&self) -> Option<Conn> {
+        let conn = {
+            let rx = self.rx.lock().unwrap_or_else(PoisonError::into_inner);
+            rx.recv().ok()?
+        };
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        self.free.fetch_sub(1, Ordering::Relaxed);
+        Some(conn)
+    }
+
+    /// Whether more connections wait than free workers are there to
+    /// receive: a worker about to promise `keep-alive` asks this.
+    pub(crate) fn backlogged(&self) -> bool {
+        let free = self.free.load(Ordering::Relaxed);
+        self.waiting.load(Ordering::Relaxed) > free
+    }
+
+    /// The connection at the head of a backlogged queue, for a worker
+    /// that gives up an idle connection to serve it.
+    pub(crate) fn try_take(&self) -> Option<Conn> {
+        if !self.backlogged() {
+            return None;
+        }
+        let rx = match self.rx.try_lock() {
+            Ok(rx) => rx,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        let conn = rx.try_recv().ok()?;
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        Some(conn)
+    }
 }
 
 impl Server {
@@ -406,34 +550,33 @@ impl Server {
         let hooks = self.shutdown_hooks;
         let workers = state.cfg.effective_workers();
         let (tx, rx) = channel::bounded::<Conn>(state.cfg.queue_depth.max(1));
-        let rx = Mutex::new(rx);
+        let queue = Queue {
+            rx: Mutex::new(rx),
+            waiting: AtomicUsize::new(0),
+            free: AtomicUsize::new(workers),
+        };
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let rx = &rx;
+                let queue = &queue;
                 let state = &state;
-                scope.spawn(move || loop {
-                    let conn = {
-                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    let Ok(conn) = conn else {
-                        break; // Channel closed: accept loop is gone.
-                    };
-                    state.inflight.fetch_add(1, Ordering::Relaxed);
-                    let waited = conn.enqueued.elapsed();
-                    serve_metrics().queue_wait.observe(waited.as_nanos() as u64);
-                    if waited > state.cfg.max_queue_wait {
-                        state.counters.inc_shed_queue_wait();
-                        shed(&state.cfg, conn.stream);
-                    } else {
-                        let served_at = Instant::now();
-                        handlers::handle(state, conn.stream);
-                        serve_metrics()
-                            .request_seconds
-                            .observe(served_at.elapsed().as_nanos() as u64);
-                        state.counters.inc_completed();
+                scope.spawn(move || {
+                    // A connection this worker took off the queue itself,
+                    // in exchange for an idle one.
+                    let mut taken = None;
+                    // Ends when the channel closes: the accept loop is gone.
+                    while let Some(conn) = taken.take().or_else(|| queue.take()) {
+                        let waited = conn.enqueued.elapsed();
+                        serve_metrics().queue_wait.observe(waited.as_nanos() as u64);
+                        if waited > state.cfg.max_queue_wait {
+                            state.counters.inc_shed_queue_wait();
+                            shed(&state.cfg, conn.stream);
+                        } else {
+                            taken = handlers::handle(state, queue, conn.stream);
+                        }
+                        if taken.is_none() {
+                            queue.free.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    state.inflight.fetch_sub(1, Ordering::Relaxed);
                 });
             }
             for incoming in self.listener.incoming() {
@@ -444,6 +587,9 @@ impl Server {
                     continue; // Transient accept error; keep serving.
                 };
                 state.counters.inc_accepted();
+                // Counted before the send so the worker that receives it
+                // never decrements first.
+                queue.waiting.fetch_add(1, Ordering::Relaxed);
                 match tx.try_send(Conn {
                     stream,
                     enqueued: Instant::now(),
@@ -452,6 +598,7 @@ impl Server {
                         state.counters.inc_admitted();
                     }
                     Err(TrySendError::Full(conn)) => {
+                        queue.waiting.fetch_sub(1, Ordering::Relaxed);
                         state.counters.inc_shed_queue_full();
                         shed(&state.cfg, conn.stream);
                     }
@@ -533,26 +680,34 @@ pub(crate) fn wake(addr: SocketAddr) {
 
 /// Writes the overload response and closes the connection. Never blocks
 /// the caller for long: the write timeout bounds a wedged peer.
-///
-/// The client's request bytes are deliberately drained before the socket
-/// drops: closing with unread data in the receive buffer makes TCP send
-/// a reset, which can destroy the in-flight 503 before the client reads
-/// it — turning a clean shed into a dropped connection.
 fn shed(cfg: &ServeConfig, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let retry = cfg.retry_after_secs.to_string();
     let body = format!("{{\"error\":\"server at capacity\",\"retry_after_secs\":{retry}}}");
     let _ = crate::http::write_response(
         &mut stream,
+        false,
         503,
         "Service Unavailable",
         "application/json",
         &[("Retry-After", retry.as_str())],
         body.as_bytes(),
     );
+    hang_up(&stream);
+}
+
+/// Closes a connection after its last response.
+///
+/// Request bytes the server will not read (all of them on a shed, the
+/// rest of a malformed or pipelined-after-`close` request otherwise) are
+/// deliberately drained before the socket drops: closing with unread
+/// data in the receive buffer makes TCP send a reset, which can destroy
+/// the in-flight response before the client reads it — turning a clean
+/// answer into a dropped connection.
+pub(crate) fn hang_up(mut stream: &TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     // Non-blocking: consumes what has already arrived without ever
-    // stalling the accept thread behind a slow peer.
+    // stalling the caller behind a slow peer.
     let _ = stream.set_nonblocking(true);
     let mut scratch = [0u8; 4096];
     for _ in 0..16 {

@@ -66,7 +66,7 @@ for seed in 1 42 20160315; do
     WODEX_FAULT_SEED=$seed cargo test -q --offline --test mvcc
 done
 
-echo "==> wodex serve smoke test (boot, /healthz, budgeted /sparql, clean stop)"
+echo "==> wodex serve smoke test (boot, /healthz, keep-alive, budgeted /sparql, clean stop)"
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/smoke.ttl" <<'TTL'
@@ -93,6 +93,12 @@ done
 [ -n "$PORT" ] || { echo "verify: FAIL — wodex serve never reported its port"; exit 1; }
 curl -sf "http://127.0.0.1:$PORT/healthz" | grep -q '"status":"ok"' || {
     echo "verify: FAIL — /healthz did not answer ok"
+    exit 1
+}
+# Two URLs in one curl: the second must ride the first's connection.
+BASE="http://127.0.0.1:$PORT"
+curl -sv "$BASE/healthz" "$BASE/healthz" 2>&1 | grep -i 're-us.* connection' > /dev/null || {
+    echo "verify: FAIL — a second request did not re-use the connection (keep-alive)"
     exit 1
 }
 SPARQL_OUT=$(curl -sf -d 'SELECT ?s ?v WHERE { ?s <http://example.org/population> ?v }' \

@@ -138,7 +138,7 @@ fn metrics_scrape_structure_is_stable() {
     let addr = server.addr();
     // One query so the sparql families carry traffic.
     let post = format!(
-        "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{}",
+        "POST /sparql HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{}",
         QUERY.len(),
         QUERY
     );
@@ -155,7 +155,7 @@ fn metrics_scrape_structure_is_stable() {
         sparql_resp.contains("X-Wodex-Trace:"),
         "trace header missing: {sparql_resp}"
     );
-    let scrape = send("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let scrape = send("GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
     server.shutdown().expect("clean shutdown");
     assert!(scrape.starts_with("HTTP/1.1 200"), "{scrape}");
     assert!(scrape.contains("text/plain; version=0.0.4"));

@@ -12,7 +12,7 @@
 //! on [`TEST_LOCK`]; within one test the driven subsystem still runs
 //! fully concurrent.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -50,7 +50,11 @@ fn explorer(entities: usize) -> Explorer {
 fn http_get(addr: std::net::SocketAddr, target: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    write!(s, "GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    write!(
+        s,
+        "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
     let mut buf = String::new();
     s.read_to_string(&mut buf).expect("read");
     buf
@@ -232,13 +236,51 @@ fn viewcache_lookups_conserve_under_concurrent_chart_requests() {
     }
 }
 
+/// One `GET /healthz` on `conn`, read by its own framing: the status and
+/// whether the server keeps the connection — or `None` when the
+/// connection turned out to be closed before a response byte arrived (an
+/// idle persistent connection the server had let go of).
+fn healthz_on(conn: &mut BufReader<TcpStream>, close: bool) -> Option<(u16, bool)> {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let request = format!("GET /healthz HTTP/1.1\r\nHost: t\r\n{connection}\r\n");
+    conn.get_mut().write_all(request.as_bytes()).ok()?;
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        if conn.read_line(&mut head).ok()? == 0 {
+            assert!(head.is_empty(), "closed mid-response: {head:?}");
+            return None;
+        }
+    }
+    let head = head.to_ascii_lowercase();
+    let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+    let length = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length:"))
+        .and_then(|v| v.trim().parse::<usize>().ok());
+    let mut body = vec![0; length.expect("a framed response")];
+    conn.read_exact(&mut body).expect("body");
+    Some((
+        status.expect("a status"),
+        head.contains("connection: keep-alive"),
+    ))
+}
+
+/// Admission counts connections, work counts requests: every accepted
+/// connection is admitted or shed, and every response a client reads was
+/// counted as served — with half of the clients keeping their
+/// connections for as long as the server lets them.
 #[test]
 fn accepted_connections_are_served_or_shed() {
     let _guard = lock();
-    let before_accepted = counter("wodex_serve_accepted_total");
-    let before_served = counter("wodex_serve_served_total");
-    let before_shed_full = counter("wodex_serve_shed_total{gate=\"queue_full\"}");
-    let before_shed_wait = counter("wodex_serve_shed_total{gate=\"queue_wait\"}");
+    let names = [
+        "wodex_serve_accepted_total",
+        "wodex_serve_admitted_total",
+        "wodex_serve_served_total",
+        "wodex_serve_requests_reused_total",
+        "wodex_serve_shed_total{gate=\"queue_full\"}",
+        "wodex_serve_shed_total{gate=\"queue_wait\"}",
+    ];
+    let before = names.map(counter);
     // A deliberately narrow server so some of the burst gets shed.
     let cfg = ServeConfig {
         workers: 2,
@@ -247,50 +289,81 @@ fn accepted_connections_are_served_or_shed() {
     };
     let server = Server::bind(explorer(80), cfg).expect("bind").spawn();
     let addr = server.addr();
-    let shed_seen = AtomicU64::new(0);
+    // What the clients saw: connections made, 200s read, 200s read on a
+    // connection that had answered before, 503s read.
+    let seen = [const { AtomicU64::new(0) }; 4];
+    let [connects, ok_seen, reused_seen, shed_seen] = &seen;
     std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            let shed_seen = &shed_seen;
+        for t in 0..THREADS {
             scope.spawn(move || {
-                for _ in 0..12 {
-                    let Ok(mut s) = TcpStream::connect(addr) else {
-                        continue;
-                    };
-                    s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-                    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-                        .expect("send");
-                    let mut buf = Vec::new();
-                    s.read_to_end(&mut buf).expect("read");
-                    if buf.starts_with(b"HTTP/1.1 503") {
-                        shed_seen.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        assert!(buf.starts_with(b"HTTP/1.1 200"));
+                let keeps = t % 2 == 0;
+                // The connection and how many answers it has carried.
+                let mut conn: Option<(BufReader<TcpStream>, u32)> = None;
+                let mut answered = 0;
+                while answered < 12 {
+                    let (c, carried) = conn.get_or_insert_with(|| {
+                        let s = TcpStream::connect(addr).expect("connect");
+                        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+                        connects.fetch_add(1, Ordering::Relaxed);
+                        (BufReader::new(s), 0)
+                    });
+                    match healthz_on(c, !keeps) {
+                        // Only a connection that was idle may turn out
+                        // closed; the request was never started on, so
+                        // sending it again is safe.
+                        None => assert!(*carried > 0, "a fresh connection was dropped"),
+                        Some((200, kept)) => {
+                            ok_seen.fetch_add(1, Ordering::Relaxed);
+                            reused_seen.fetch_add((*carried > 0) as u64, Ordering::Relaxed);
+                            *carried += 1;
+                            answered += 1;
+                            assert!(keeps || !kept, "close was asked for");
+                            if kept {
+                                continue;
+                            }
+                        }
+                        Some((503, kept)) => {
+                            assert!(!kept && *carried == 0, "only a connection is shed");
+                            shed_seen.fetch_add(1, Ordering::Relaxed);
+                            answered += 1;
+                        }
+                        Some(other) => panic!("unexpected answer {other:?}"),
                     }
+                    conn = None;
                 }
             });
         }
     });
     // Shutdown joins every worker, so all accounting is final after it.
     server.shutdown().expect("clean shutdown");
-    let accepted = counter("wodex_serve_accepted_total") - before_accepted;
-    let served = counter("wodex_serve_served_total") - before_served;
-    let shed = (counter("wodex_serve_shed_total{gate=\"queue_full\"}") - before_shed_full)
-        + (counter("wodex_serve_shed_total{gate=\"queue_wait\"}") - before_shed_wait);
+    let after = names.map(counter);
+    let [accepted, admitted, served, reused, shed_full, shed_wait] =
+        [0, 1, 2, 3, 4, 5].map(|i| after[i] - before[i]);
+    let [connects, ok_seen, reused_seen, shed_seen] = seen.map(AtomicU64::into_inner);
+    assert_eq!(accepted, connects, "every client connection is accepted");
     assert_eq!(
+        admitted + shed_full,
         accepted,
-        (THREADS * 12) as u64,
-        "every client connection must be accepted"
+        "every accepted connection is admitted or shed, never dropped"
     );
     assert_eq!(
-        served + shed,
-        accepted,
-        "every accepted connection must be served or shed, never dropped"
+        served, ok_seen,
+        "served requests are the answers clients read from admitted connections"
     );
     assert_eq!(
-        shed,
-        shed_seen.load(Ordering::Relaxed),
+        shed_full + shed_wait,
+        shed_seen,
         "server-side shed count must match the 503s clients observed"
     );
+    assert_eq!(
+        reused, reused_seen,
+        "reuse as the server and the clients saw it"
+    );
+    assert!(
+        reused > 0,
+        "no connection was ever kept: the laws went untested"
+    );
+    assert_eq!(ok_seen + shed_seen, (THREADS * 12) as u64);
 }
 
 #[test]

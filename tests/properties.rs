@@ -429,6 +429,124 @@ fn mutated_rdf_and_sparql_text_parses_or_fails_typed() {
     }
 }
 
+/// Valid requests for the HTTP sweep: with and without a body, leading
+/// blank lines, bare LF, HTTP/1.0, a multi-byte body.
+const HTTP_SEEDS: &[&str] = &[
+    "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+    "POST /sparql?deadline_ms=5 HTTP/1.1\r\nHost: t\r\nContent-Length: 16\r\n\r\nASK { ?s ?p ?o }",
+    "POST /data HTTP/1.1\nContent-Length: 18\nConnection: close\n\n<a> <b> \"caf\u{e9}\" .\n",
+    "\r\n\r\nGET /explore/hits?session=s1&q=caf%C3%A9+x HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+];
+
+/// Header lines that frame a body wrongly, for the sweep to splice in.
+const HTTP_LENGTHS: &[&str] = &[
+    "Content-Length: 18446744073709551616\r\n",
+    "Content-Length: 4294967296\r\n",
+    "Content-Length: -1\r\n",
+    "Content-Length: +3\r\n",
+    "Content-Length: 3\r\n",
+    "Content-Length: 3, 3\r\n",
+    "Transfer-Encoding: chunked\r\n",
+];
+
+/// Where the request at the start of `buf` has its body and its end —
+/// read off the whole buffer at once, not incrementally as the parser
+/// does. Only consulted for requests the parser accepted.
+fn http_frame(buf: &[u8]) -> (usize, usize) {
+    let mut at = 0;
+    let mut seen_request_line = false;
+    let mut length = 0;
+    loop {
+        let end = at + buf[at..].iter().position(|&b| b == b'\n').expect("a line") + 1;
+        let line = String::from_utf8_lossy(&buf[at..end]);
+        let line = line.trim_end_matches(['\r', '\n']);
+        at = end;
+        if line.is_empty() && seen_request_line {
+            return (at, at + length);
+        }
+        if let Some((name, value)) = line.split_once(':').filter(|_| seen_request_line) {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse().expect("an accepted length");
+            }
+        }
+        seen_request_line |= !line.is_empty();
+    }
+}
+
+/// ROADMAP 7(c) for the HTTP decoder, which on a persistent connection
+/// also decides where the *next* request starts: cut, flip and splice
+/// one to three requests in a buffer and parse until the parser stops.
+/// `Ok`, `Closed` or `Malformed` — never a panic, never an I/O error (an
+/// in-memory reader has none), never a body beyond the cap — and every
+/// accepted request leaves the reader exactly at the next one.
+#[test]
+fn mutated_http_requests_parse_or_fail_typed_and_stay_framed() {
+    use std::io::Cursor;
+    use wodex::serve::http::{read_request, ParseError};
+    let mut rng = wodex::synth::rng(base_seed() ^ 0x4717);
+    for round in 0..20_000 {
+        let mut bytes = Vec::new();
+        let requests = rng.random_range(1..=3usize);
+        for i in 0..requests {
+            bytes.extend_from_slice(HTTP_SEEDS[(round + i) % HTTP_SEEDS.len()].as_bytes());
+        }
+        let intact = bytes.clone();
+        for _ in 0..rng.random_range(0..=3u32) {
+            let at = rng.random_range(0..=bytes.len());
+            match rng.random_range(0..5u32) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                1 => bytes.truncate(at),
+                2 => {
+                    // After a line end, so that it reads as a header.
+                    let at = bytes[..at]
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .map_or(0, |i| i + 1);
+                    let line = HTTP_LENGTHS[rng.random_range(0..HTTP_LENGTHS.len())];
+                    bytes.splice(at..at, line.bytes());
+                }
+                3 => bytes.retain(|&b| b != b'\r'),
+                _ => {
+                    bytes.drain(at..rng.random_range(at..=bytes.len()));
+                }
+            }
+        }
+        let mut reader = Cursor::new(&bytes[..]);
+        let mut parsed = 0;
+        loop {
+            let at = reader.position() as usize;
+            match read_request(&mut reader) {
+                Ok(req) => {
+                    let (body, end) = http_frame(&bytes[at..]);
+                    let text = String::from_utf8_lossy(&bytes);
+                    assert_eq!(reader.position() as usize, at + end, "{text:?}");
+                    assert_eq!(req.body, bytes[at + body..at + end], "{text:?}");
+                    assert!(req.body.len() <= 1024 * 1024);
+                    parsed += 1;
+                }
+                Err(ParseError::Closed) => {
+                    let rest = &bytes[at..];
+                    assert!(rest.iter().all(|b| matches!(b, b'\r' | b'\n')), "{rest:?}");
+                    break;
+                }
+                Err(ParseError::Malformed(_)) => break,
+                Err(ParseError::Io(e)) => panic!("{e} on {:?}", String::from_utf8_lossy(&bytes)),
+            }
+        }
+        if bytes == intact {
+            assert_eq!(parsed, requests, "{:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
+    // A length is refused for what it says, before anything is allocated
+    // or read for it: the body here is absent, and "too large" — not
+    // "eof inside body" — is the answer.
+    let huge = b"POST /data HTTP/1.1\r\nContent-Length: 1073741824\r\n\r\n";
+    assert!(matches!(
+        read_request(&mut Cursor::new(&huge[..])),
+        Err(ParseError::Malformed("body too large"))
+    ));
+}
+
 #[test]
 fn insert_delete_sequences_keep_store_consistent() {
     for_each_case(11, |rng| {
